@@ -10,7 +10,11 @@ a JSON object {"correct", "attempted", "failed", "metrics"}.
 
 --trace 0 reports the end-to-end metrics: wall_s (median seconds per set),
 setup_s (median over fresh processes of the time from process start to the
-first job) and peak_rss_mb (peak resident memory of this process).
+first job) and peak_rss_mb (peak resident memory of this process). wall_s
+and setup_s are given at reference speed: each timed interval is scaled by
+REFERENCE_S over the time of a fixed reference computation (reference.py)
+run just before and just after it, so that drift in the machine's speed
+between runs cancels. The measured seconds are printed beside them.
 --trace 1 alternates untraced and traced sets and reports the per-layer
 metrics of the traced ones (medians over sets); the spans are written to
 .perfbench_out/spans-<workload>.jsonl when the run ends.
@@ -37,7 +41,46 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
 SRC = os.path.join(ROOT, "src")
 OUT = os.path.join(ROOT, ".perfbench_out")
-SETUP_PROBES = 7
+SETUP_PROBES = 11
+# About the median reference time on the machine the baseline in README.md
+# was recorded on (a 2-vCPU Xeon VM), so that values at reference speed read
+# as seconds on that machine at its usual speed. Only ratios between runs
+# matter.
+REFERENCE_S = 0.1
+
+
+class Reference:
+    """The process of reference.py; calling it times the reference computation once."""
+
+    def __init__(self) -> None:
+        self.proc = subprocess.Popen(
+            [sys.executable, os.path.join(HERE, "reference.py")],
+            stdin=subprocess.PIPE,
+            stdout=subprocess.PIPE,
+            text=True,
+        )
+
+    def __call__(self) -> float:
+        self.proc.stdin.write("\n")
+        self.proc.stdin.flush()
+        return float(self.proc.stdout.readline())
+
+    def close(self) -> None:
+        """End the process (at end of its input) and wait for it."""
+        self.proc.stdin.close()
+        self.proc.wait()
+        self.proc.stdout.close()
+
+
+def at_reference_speed(seconds: float, before: float, after: float) -> float:
+    """Scale a timed interval by REFERENCE_S over the reference times around it."""
+    return seconds * 2 * REFERENCE_S / (before + after)
+
+
+def declared_units(section: str) -> dict[str, str]:
+    """Metric name -> unit, as BENCHMARK.json lists them under section."""
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
+        return {m["name"]: m["unit"] for m in json.load(fh)[section]}
 
 
 def import_program():
@@ -53,17 +96,21 @@ def import_program():
     return cmgiant
 
 
-def measure_setup(workload: str) -> list[float]:
-    """Seconds from spawn to exit of fresh processes that only set up the workload."""
+def measure_setup(workload: str, reference_s) -> tuple[list[float], list[float]]:
+    """Seconds from spawn to exit of fresh processes that only set up the workload.
+
+    Returns the measured times and the same times at reference speed.
+    """
     probe = [sys.executable, os.path.join(HERE, "setup_probe.py"), workload]
-    times = []
+    times, refs = [], [reference_s()]
     for _ in range(SETUP_PROBES):
         start = time.perf_counter()
         proc = subprocess.run(probe, cwd=ROOT, stdout=subprocess.DEVNULL)
         times.append(time.perf_counter() - start)
+        refs.append(reference_s())
         if proc.returncode != 0:
             raise SystemExit(f"perfbench: set-up probe exited with {proc.returncode}")
-    return times
+    return times, [at_reference_speed(t, refs[i], refs[i + 1]) for i, t in enumerate(times)]
 
 
 class Tally:
@@ -119,17 +166,24 @@ def run(workload_name: str, seed: int, seconds: float, trace: bool, scale: float
     import tracing
     from workloads import WORKLOADS
 
-    setup = [] if trace else measure_setup(workload_name)
-    jobs = WORKLOADS[workload_name](scale)
     seeds = np.random.default_rng(seed)
     tally = Tally()
-    walls: dict[bool, list[float]] = {False: [], True: []}
+    walls: dict[bool, list[float]] = {False: [], True: []}  # measured seconds per set
+    scaled: dict[bool, list[float]] = {False: [], True: []}  # the same at reference speed
     traced_sets: list[dict] = []
     spans: list[list] = []
     tracer = tracing.Tracer()
     workdir = os.path.join(OUT, f"work-{os.getpid()}")
-    start = time.perf_counter()
+    # One CPU for this process and, by inheritance, the reference and set-up
+    # probe processes: the two CPUs of a shared VM drift apart, so the
+    # reference follows the jobs' speed only when it runs where they run.
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+    reference_s = Reference()
     try:
+        setup, setup_scaled = ([], []) if trace else measure_setup(workload_name, reference_s)
+        jobs = WORKLOADS[workload_name](scale)
+        refs = [reference_s()]
+        start = time.perf_counter()
         while True:
             traced = trace and len(walls[False]) > len(walls[True])
             set_seed = int(seeds.integers(0, 2**31))
@@ -140,42 +194,50 @@ def run(workload_name: str, seed: int, seconds: float, trace: bool, scale: float
                 spans.append(tracer.reset())
             else:
                 wall, outputs = run_set(jobs, set_seed, workdir)
+            refs.append(reference_s())
             walls[traced].append(wall)
+            scaled[traced].append(at_reference_speed(wall, refs[-2], refs[-1]))
             verify_set(set_seed, outputs, tally, show=len(walls[traced]) == 1 and not traced)
             done = time.perf_counter() - start >= seconds
             if done and (not trace or walls[True]):
                 break
     finally:
+        reference_s.close()
         shutil.rmtree(workdir, ignore_errors=True)
 
-    untraced = median(walls[False])
+    untraced = median(scaled[False])
     print(
         f"perfbench {workload_name} seed={seed} trace={int(trace)} python={platform.python_version()}"
         f" numpy={np.__version__} nproc={os.cpu_count()}"
     )
+    print(f"reference_s: {median(refs):.4f} s measured (median of {len(refs)}; REFERENCE_S {REFERENCE_S} s)")
+    print("reference_s around the sets, measured: " + " ".join(f"{r:.4f}" for r in refs))
     print(
-        f"wall_s: {untraced:.4f} s (median of {len(walls[False])} untraced sets;"
-        f" min {min(walls[False]):.4f}, max {max(walls[False]):.4f})"
+        f"wall_s: {untraced:.4f} s at reference speed (median of {len(walls[False])} untraced sets;"
+        f" measured median {median(walls[False]):.4f} s, min {min(walls[False]):.4f}, max {max(walls[False]):.4f})"
     )
-    print("wall_s per set: " + " ".join(f"{w:.3f}" for w in walls[False]))
+    print("wall_s per set, measured: " + " ".join(f"{w:.3f}" for w in walls[False]))
     print(f"failed_frac: {tally.failed / tally.attempted:.4g} ({tally.failed} of {tally.attempted} jobs failed)")
     if trace:
         metrics = tracing.median_metrics(traced_sets)
-        metrics["trace_overhead_frac"] = median(walls[True]) / untraced - 1
-        for line in tracing.layer_table(metrics, median(walls[True])):
+        metrics["trace_overhead_frac"] = median(scaled[True]) / untraced - 1
+        units = declared_units("per_layer")
+        for line in tracing.layer_table(metrics, median(walls[True]), units):
             print(line)
         os.makedirs(OUT, exist_ok=True)
         tracing.write_spans(os.path.join(OUT, f"spans-{workload_name}.jsonl"), spans)
-        units = tracing.LAYER_UNITS
     else:
         metrics = {
             "wall_s": untraced,
-            "setup_s": median(setup),
+            "setup_s": median(setup_scaled),
             "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
         }
-        print(f"setup_s: {metrics['setup_s']:.4f} s (median of {len(setup)} fresh processes)")
+        print(
+            f"setup_s: {metrics['setup_s']:.4f} s at reference speed (median of {len(setup)} fresh"
+            f" processes; measured median {median(setup):.4f} s)"
+        )
         print(f"peak_rss_mb: {metrics['peak_rss_mb']:.1f} MB")
-        units = {"wall_s": "s", "setup_s": "s", "peak_rss_mb": "MB"}
+        units = declared_units("end_to_end")
     return {
         "correct": tally.failed == 0,
         "attempted": tally.attempted,

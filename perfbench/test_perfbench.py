@@ -21,20 +21,12 @@ from cmgiant import components  # noqa: E402
 
 SCALE = 0.02  # graph sizes and sample counts relative to the benchmark's
 
-with open(os.path.join(run.ROOT, "BENCHMARK.json")) as fh:
-    BENCHMARK = json.load(fh)
-
-
-def declared_units(section: str) -> dict[str, str]:
-    return {m["name"]: m["unit"] for m in BENCHMARK[section]}
-
-
 @pytest.mark.parametrize("trace", [False, True])
 @pytest.mark.parametrize("workload", sorted(workloads.WORKLOADS))
 def test_every_metric_is_emitted_with_its_unit(workload, trace):
     result = run.run(workload, seed=3, seconds=0, trace=trace, scale=SCALE)
     section = "per_layer" if trace else "end_to_end"
-    assert {name: m["unit"] for name, m in result["metrics"].items()} == declared_units(section)
+    assert {name: m["unit"] for name, m in result["metrics"].items()} == run.declared_units(section)
     assert all(isinstance(m["value"], float) for m in result["metrics"].values())
     assert result["correct"] and result["failed"] == 0 and result["attempted"] >= 1
 
@@ -52,6 +44,14 @@ def test_a_statistic_out_of_tolerance_counts_as_failed():
     assert result["attempted"] == 4
     assert result["failed"] == 4
     assert not result["correct"]
+
+
+def test_reference_speed_cancels_a_uniform_slowdown():
+    # a machine 1.4 times slower stretches the set and its references alike
+    assert run.at_reference_speed(1.4 * 3.0, 1.4 * 0.11, 1.4 * 0.13) == pytest.approx(
+        run.at_reference_speed(3.0, 0.11, 0.13)
+    )
+    assert run.at_reference_speed(3.0, run.REFERENCE_S, run.REFERENCE_S) == pytest.approx(3.0)
 
 
 def test_self_times_sum_to_each_root_span(tmp_path):

@@ -24,8 +24,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from statistics import median
 
-from cmgiant.neighborhoods import OVERSIZE_BALL
-
 PACKAGE = "cmgiant"
 BENCH = "bench"  # span-name prefix of the benchmark's own root spans
 
@@ -83,17 +81,8 @@ def _count_canonical_code(t, call, result, seconds):
     t.codes.add(result)
 
 
-def _oversize_mass(dist) -> float:
-    return float(dist.get(OVERSIZE_BALL, 0.0))
-
-
-def _count_census(t, call, result, seconds):
-    t.peak("neighborhoods.oversize_mass_graph", _oversize_mass(result))
-
-
 def _count_bp_census(t, call, result, seconds):
     t.add("neighborhoods.bp_samples", call()["samples"])
-    t.peak("neighborhoods.oversize_mass_bp", _oversize_mass(result))
 
 
 def _count_zeta(t, call, result, seconds):
@@ -127,7 +116,6 @@ COUNTERS = {
     "components.component_decomposition": _count_decompose,
     "distances.sample_distances": _count_distances,
     "neighborhoods.canonical_code": _count_canonical_code,
-    "neighborhoods.empirical_ball_distribution": _count_census,
     "neighborhoods.bp_ball_distribution": _count_bp_census,
     "local_limit.zeta_geq_k": _count_zeta,
     "local_limit.estimate_cond_limit": _count_cond,
@@ -143,7 +131,6 @@ class Tracer:
     def __init__(self) -> None:
         self.spans: list[list] = []  # [name, start, end, parent index or -1]
         self.counts: dict[str, float] = defaultdict(float)
-        self.peaks: dict[str, float] = defaultdict(float)
         self.codes: set = set()
         self._stack: list[int] = []
         self._saved: list[tuple] = []
@@ -151,15 +138,11 @@ class Tracer:
     def add(self, name: str, value: float) -> None:
         self.counts[name] += value
 
-    def peak(self, name: str, value: float) -> None:
-        self.peaks[name] = max(self.peaks[name], value)
-
     def reset(self) -> list[list]:
         """Start a fresh set of spans and counts; return the old spans."""
         spans = self.spans
         self.spans = []
         self.counts = defaultdict(float)
-        self.peaks = defaultdict(float)
         self.codes = set()
         return spans
 
@@ -264,52 +247,6 @@ LAYERS = (
 
 EXPERIMENTS = ("giant", "truncation", "local_conv", "almost_local", "distances", "coupling")
 
-# Per-layer metric name -> unit.
-LAYER_UNITS = {
-    "degree_model.sample_s": "s",
-    "degree_model.vertices": "count",
-    "graph_build.pair_s": "s",
-    "graph_build.half_edges": "count",
-    "graph_build.pair_ns_per_half_edge": "ns/half-edge",
-    "graph_build.truncate_s": "s",
-    "graph_build.coupled_pairing_self_s": "s",
-    "components.decompose_s": "s",
-    "components.decompose_calls": "count",
-    "components.decompose_ns_per_vertex": "ns/vertex",
-    "components.boundary_pair_self_s": "s",
-    "traversal.boundary_counts_s": "s",
-    "traversal.boundary_counts_calls": "count",
-    "traversal.pair_distance_s": "s",
-    "traversal.pair_distance_calls": "count",
-    "distances.sample_self_s": "s",
-    "distances.pairs": "count",
-    "neighborhoods.canonical_code_s": "s",
-    "neighborhoods.canonical_code_calls": "count",
-    "neighborhoods.extract_ball_s": "s",
-    "neighborhoods.extract_ball_calls": "count",
-    "neighborhoods.bp_ball_s": "s",
-    "neighborhoods.bp_samples": "count",
-    "neighborhoods.census_self_s": "s",
-    "neighborhoods.distinct_codes": "count",
-    "neighborhoods.code_yield": "codes/call",
-    "neighborhoods.oversize_mass_graph": "frac",
-    "neighborhoods.oversize_mass_bp": "frac",
-    "local_limit.sampler_s": "s",
-    "local_limit.trees": "count",
-    "local_limit.spec_s": "s",
-    "local_limit.spec_calls": "count",
-    "coupling.explore_s": "s",
-    "coupling.steps": "count",
-    "coupling.half_edge_reuses": "count",
-    "coupling.us_per_step": "us/step",
-    **{f"expcli.{e}_s": "s" for e in EXPERIMENTS},
-    "expcli.self_s": "s",
-    "expcli.jobs": "count",
-    "trace_library_frac": "frac",
-    "trace_overhead_frac": "frac",
-}
-
-
 def _ratio(num: float, den: float) -> float:
     return num / den if den else 0.0
 
@@ -317,7 +254,7 @@ def _ratio(num: float, den: float) -> float:
 def set_metrics(tracer: Tracer, wall: float) -> dict[str, float]:
     """Per-layer metrics of one traced set, whose wall time is `wall`."""
     stats = span_stats(tracer.spans)
-    c, pk = tracer.counts, tracer.peaks
+    c = tracer.counts
 
     def total(*names):
         return sum(stats[n].total for n in names if n in stats)
@@ -368,8 +305,6 @@ def set_metrics(tracer: Tracer, wall: float) -> dict[str, float]:
         ),
         "neighborhoods.distinct_codes": len(tracer.codes),
         "neighborhoods.code_yield": _ratio(len(tracer.codes), code_calls),
-        "neighborhoods.oversize_mass_graph": pk["neighborhoods.oversize_mass_graph"],
-        "neighborhoods.oversize_mass_bp": pk["neighborhoods.oversize_mass_bp"],
         "local_limit.sampler_s": total(
             "local_limit.zeta_geq_k",
             "local_limit.estimate_cond_limit",
@@ -396,14 +331,14 @@ def median_metrics(per_set: list[dict[str, float]]) -> dict[str, float]:
     return {name: median(m[name] for m in per_set) for name in per_set[0]}
 
 
-def layer_table(metrics: dict[str, float], wall: float) -> list[str]:
-    """One scoreboard-style line per module layer."""
+def layer_table(metrics: dict[str, float], wall: float, names) -> list[str]:
+    """One scoreboard-style line per module layer, showing the named metrics."""
     lines = []
     for layer in LAYERS:
         own = metrics[f"_layer.{layer}"]
         detail = " ".join(
             f"{name.split('.', 1)[1]}={metrics[name]:.4g}"
-            for name in LAYER_UNITS
+            for name in names
             if name.startswith(layer + ".")
         )
         lines.append(

@@ -265,6 +265,15 @@ def explore(scale: float = 1.0) -> tuple[Job, ...]:
         tol = Z * math.sqrt(zeta_sq * (1 - zeta_sq) / pairs + 4 * zeta_sq * VERTEX_VAR / n)
         return [near("finite_fraction", record["finite_fraction"], zeta_sq, tol)]
 
+    def coupling_checks(record, summary, observed):
+        # the theory columns bound the expected reuse counts; allow Z Poisson
+        # standard deviations (at least Z) above them
+        checks = []
+        for name, bound in (("half_edge_reuses", "theory_he_bound"), ("vertex_reuses", "theory_vertex_bound")):
+            mean = float(summary[bound])
+            checks.append(at_most(name, record[name], mean + Z * math.sqrt(max(mean, 1.0))))
+        return checks
+
     def zeta_mc(k_mc):
         return lambda rng: local_limit.zeta_geq_k(
             b.spec, k_mc, mode="monte_carlo", rng=rng, samples=samples
@@ -284,9 +293,10 @@ def explore(scale: float = 1.0) -> tuple[Job, ...]:
     def cond_checks(est):
         # a tree with >= r_k members at generation r has >= r + r_k members
         q = b.finite_mass(r + r_k)
+        # big_cluster_small_boundary has no reference tighter than P(T >= k),
+        # about 0.97 on this law against estimates near 1e-3, so it is not checked
         return [
             at_most("small_cluster_big_boundary", est.small_cluster_big_boundary, q + binomial_tol(q, samples)),
-            within("big_cluster_small_boundary", est.big_cluster_small_boundary, 0.0, 1.0),
         ]
 
     def bp_trees(rng):
@@ -301,7 +311,7 @@ def explore(scale: float = 1.0) -> tuple[Job, ...]:
     return (
         cli_job("almost_local", b, n, almost_local_checks, k=[50], r=[2]),
         cli_job("distances", b, n, distances_checks, pairs=pairs),
-        cli_job("coupling", b, n, lambda *_: [], m_exponent=0.6),
+        cli_job("coupling", b, n, coupling_checks, m_exponent=0.6),
         sampler_job("zeta_geq_50_mc", 0, zeta_mc(50), zeta50_checks),
         sampler_job("zeta_geq_30_mc", 1, zeta_mc(30), zeta30_checks),
         sampler_job("cond_limit", 2, cond, cond_checks),
