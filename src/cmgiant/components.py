@@ -33,73 +33,62 @@ class ComponentSummary:
         return int(self.sizes.size)
 
 
-class _UnionFind:
-    def __init__(self, n: int) -> None:
-        self.parent = list(range(n))
-        self.size = [1] * n
+def _min_vertex_labels(g: HalfEdgeGraph) -> np.ndarray:
+    """Label every vertex with the smallest vertex id in its component.
 
-    def find(self, x: int) -> int:
-        parent = self.parent
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return
-        if self.size[ra] < self.size[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        self.size[ra] += self.size[rb]
+    Min-label hooking with pointer jumping, in the style of Shiloach and
+    Vishkin (1982). `label` is a forest whose pointers never increase, and
+    after each round of jumping every vertex points at its tree's root. Each
+    round hooks, for every edge whose endpoints still have different roots,
+    the larger root under the smaller one, then jumps until every tree is a
+    star. Edges are carried as pairs of roots and dropped once both ends
+    share one, so later rounds touch only the edges still crossing trees.
+    """
+    x = np.flatnonzero(np.arange(g.num_half_edges) < g.mate)
+    u, v = g.owner[x], g.owner[g.mate[x]]
+    label = np.arange(g.n, dtype=np.int64)
+    while True:
+        u, v = label[u], label[v]
+        cross = u != v
+        if not cross.any():
+            return label
+        u, v = np.minimum(u[cross], v[cross]), np.maximum(u[cross], v[cross])
+        np.minimum.at(label, v, u)
+        while True:
+            jumped = label[label]
+            if np.array_equal(jumped, label):
+                break
+            label = jumped
 
 
 def component_decomposition(g: HalfEdgeGraph) -> ComponentSummary:
-    """Union-find decomposition of g into connected components."""
+    """Decompose g into connected components by label propagation.
+
+    Every vertex is first labeled by the smallest vertex of its component
+    (`_min_vertex_labels`). Components are ranked with one lexsort on
+    (-size, smallest vertex); the per-cluster edge counts come from one
+    bincount of degrees over ranks, and the degree histograms from one
+    np.unique over (rank, degree) pairs.
+    """
     n = g.n
-    uf = _UnionFind(n)
-    mate = g.mate.tolist()
-    owner = g.owner.tolist()
-    for x in range(g.num_half_edges):
-        y = mate[x]
-        if x < y:
-            uf.union(owner[x], owner[y])
+    root = _min_vertex_labels(g)
+    counts = np.bincount(root, minlength=n)
+    mins = np.flatnonzero(counts)
+    ranked = mins[np.lexsort((mins, -counts[mins]))]
+    rank_of = np.empty(n, dtype=np.int64)
+    rank_of[ranked] = np.arange(ranked.size, dtype=np.int64)
+    labels = rank_of[root]
+    sizes = counts[ranked]
 
-    roots = [uf.find(v) for v in range(n)]
-    # Cluster ids in order of first appearance = order of lowest member.
-    root_to_id: dict[int, int] = {}
-    min_vertex: list[int] = []
-    counts: list[int] = []
-    for v in range(n):
-        r = roots[v]
-        cid = root_to_id.get(r)
-        if cid is None:
-            cid = len(root_to_id)
-            root_to_id[r] = cid
-            min_vertex.append(v)
-            counts.append(0)
-        counts[cid] += 1
+    degrees = g.degrees()
+    # Both half-edges of every edge lie inside its cluster.
+    edges = np.bincount(labels, weights=degrees, minlength=sizes.size).astype(np.int64) // 2
+    width = int(degrees.max(initial=0)) + 1
+    keys, freq = np.unique(labels * width + degrees, return_counts=True)
+    degree_hists: list[dict[int, int]] = [{} for _ in range(sizes.size)]
+    for rank, d, c in zip((keys // width).tolist(), (keys % width).tolist(), freq.tolist()):
+        degree_hists[rank][d] = c
 
-    order = sorted(range(len(counts)), key=lambda c: (-counts[c], min_vertex[c]))
-    rank_of = [0] * len(counts)
-    for rank, cid in enumerate(order):
-        rank_of[cid] = rank
-
-    labels = np.empty(n, dtype=np.int64)
-    degree_hists: list[dict[int, int]] = [dict() for _ in counts]
-    edges = np.zeros(len(counts), dtype=np.int64)
-    degrees = g.degrees().tolist()
-    for v in range(n):
-        rank = rank_of[root_to_id[roots[v]]]
-        labels[v] = rank
-        d = degrees[v]
-        hist = degree_hists[rank]
-        hist[d] = hist.get(d, 0) + 1
-        edges[rank] += d
-    edges //= 2  # every edge contributes both half-edges inside its cluster
-
-    sizes = np.array(sorted(counts, reverse=True), dtype=np.int64)
     return ComponentSummary(
         sizes=sizes,
         per_cluster_degree_hist=degree_hists,

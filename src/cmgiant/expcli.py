@@ -87,6 +87,10 @@ class ConfigError(ValueError):
     """Config file problems, with the offending field or line in the text."""
 
 
+class InvariantError(RuntimeError):
+    """An internal invariant of an experiment failed; the run exits with code 1."""
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     experiment: str
@@ -422,9 +426,13 @@ def _run_truncation(cfg: ExperimentConfig, n: int, seed: int) -> dict:
     violations = int(
         np.sum((csp.labels[u] == csp.labels[v]) & (cs.labels[u] != cs.labels[v]))
     )
-    assert cap_ok, "truncated degrees must be min(d, b) plus degree-1 spawns"
-    assert total_ok, "truncation must preserve the total degree"
-    assert violations == 0, "connectivity in the truncated graph must imply it originally"
+    for ok, message in (
+        (cap_ok, "truncated degrees must be min(d, b) plus degree-1 spawns"),
+        (total_ok, "truncation must preserve the total degree"),
+        (violations == 0, "connectivity in the truncated graph must imply it originally"),
+    ):
+        if not ok:
+            raise InvariantError(message)
     gs = giant_statistics(cs, g.n)
     gsp = giant_statistics(csp, gp.n)
     return {
@@ -560,7 +568,7 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> int:
     """Run every (n, seed) pair and write the output files.
 
     Returns a process exit code: 0 on success, 1 when an internal invariant
-    assertion failed. Partially written outputs are removed on failure.
+    failed (InvariantError). Partially written outputs are removed on failure.
     """
     os.makedirs(cfg.out_dir, exist_ok=True)
     written: list[str] = []
@@ -598,7 +606,7 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> int:
         manifest_path = os.path.join(cfg.out_dir, "manifest.json")
         written.append(manifest_path)
         emit_manifest(cfg, manifest_path)
-    except AssertionError as exc:
+    except InvariantError as exc:
         for path in written:
             if os.path.exists(path):
                 os.unlink(path)

@@ -133,7 +133,10 @@ class ExplosionMap:
     def validate(self) -> None:
         relab = self.half_edge_relabeling
         ell = self.original_degrees.total_degree
-        if sorted(relab.tolist()) != list(range(ell)):
+        in_range = relab.shape == (ell,) and relab.dtype.kind == "i" and (
+            ell == 0 or (relab.min() >= 0 and relab.max() < ell)
+        )
+        if not in_range or np.count_nonzero(np.bincount(relab, minlength=ell)) != ell:
             raise ValueError("half-edge relabeling is not a bijection on labels")
         if self.truncated_degrees.total_degree != ell:
             raise ValueError("explosion changed the total degree")
@@ -148,40 +151,17 @@ class ExplosionMap:
 def pair_half_edges(seq: DegreeSequence, rng: np.random.Generator) -> HalfEdgeGraph:
     """Draw a uniform perfect matching on the half-edges of seq.
 
-    Sequential pairing: repeatedly take the lowest unpaired label and match
-    it with a partner drawn uniformly from the remaining unpaired labels.
-    Exchangeability of the pairing order makes the matching uniform. Runs in
-    O(total degree).
+    Permutation pairing: draw a uniform permutation perm of the labels and
+    pair perm[2i] with perm[2i+1]. Every perfect matching on ell labels
+    arises from exactly (ell/2)! * 2^(ell/2) permutations (order the pairs,
+    then order each pair), so the matching is uniform. The generator is
+    consumed by one rng.permutation(ell) call. Runs in O(total degree).
     """
-    ell = seq.total_degree
-    mate = np.full(ell, -1, dtype=np.int64)
-    pool = list(range(ell))
-    pos = list(range(ell))
-
-    def remove(label: int) -> None:
-        i = pos[label]
-        last = pool[-1]
-        pool[i] = last
-        pos[last] = i
-        pool.pop()
-        pos[label] = -1
-
-    # One uniform draw per pair, batched up front; pair t draws from a pool
-    # of ell - 2t - 1 candidates after the lowest label is set aside.
-    uniforms = rng.random(ell // 2)
-    mate_list = mate.tolist()
-    t = 0
-    for x in range(ell):
-        if mate_list[x] >= 0:
-            continue
-        remove(x)
-        j = int(uniforms[t] * len(pool))
-        t += 1
-        y = pool[j]
-        remove(y)
-        mate_list[x] = y
-        mate_list[y] = x
-    graph = HalfEdgeGraph.from_degrees(seq, np.array(mate_list, dtype=np.int64))
+    perm = rng.permutation(seq.total_degree)
+    mate = np.empty_like(perm)
+    mate[perm[0::2]] = perm[1::2]
+    mate[perm[1::2]] = perm[0::2]
+    graph = HalfEdgeGraph.from_degrees(seq, mate)
     graph.validate()
     return graph
 
@@ -192,7 +172,10 @@ def truncate_explode(seq: DegreeSequence, b: int) -> ExplosionMap:
     Vertex v keeps its min(d_v, b) lowest labels; every displaced half-edge
     becomes a new degree-1 vertex appended after the originals, scanning
     vertices in order and their displaced labels in increasing order. Total
-    degree is preserved exactly.
+    degree is preserved exactly. The relabeling is computed with array
+    operations from each label's owner and its offset within that owner: a
+    kept label moves to the same offset in its vertex's truncated range, and
+    the j-th displaced label becomes the single label of vertex n + j.
 
     Args:
         b: degree cutoff, at least 1.
@@ -202,35 +185,22 @@ def truncate_explode(seq: DegreeSequence, b: int) -> ExplosionMap:
     degrees = seq.degrees
     n = seq.n
     kept = np.minimum(degrees, b)
-    displaced = degrees - kept
-    n_plus = int(displaced.sum())
-    new_degrees = np.concatenate([kept, np.ones(n_plus, dtype=np.int64)])
-    truncated = DegreeSequence(new_degrees)
+    n_plus = seq.total_degree - int(kept.sum())
+    truncated = DegreeSequence(np.concatenate([kept, np.ones(n_plus, dtype=np.int64)]))
 
-    new_offsets = np.zeros(truncated.n + 1, dtype=np.int64)
-    np.cumsum(new_degrees, out=new_offsets[1:])
-    old_offsets = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(degrees, out=old_offsets[1:])
-
+    owner = np.repeat(np.arange(n, dtype=np.int64), degrees)
+    old_starts = np.cumsum(degrees) - degrees
+    new_starts = np.cumsum(kept) - kept
+    offset = np.arange(seq.total_degree, dtype=np.int64) - old_starts[owner]
+    keep = offset < b
     relab = np.empty(seq.total_degree, dtype=np.int64)
-    origin = np.empty(n_plus, dtype=np.int64)
-    j = 0
-    for v in range(n):
-        base_old = int(old_offsets[v])
-        base_new = int(new_offsets[v])
-        d = int(degrees[v])
-        k = int(kept[v])
-        for t in range(k):
-            relab[base_old + t] = base_new + t
-        for t in range(k, d):
-            relab[base_old + t] = int(new_offsets[n + j])
-            origin[j] = v
-            j += 1
+    relab[keep] = new_starts[owner[keep]] + offset[keep]
+    relab[~keep] = np.arange(seq.total_degree - n_plus, seq.total_degree, dtype=np.int64)
     emap = ExplosionMap(
         original_degrees=seq,
         truncated_degrees=truncated,
         cutoff=b,
-        origin=origin,
+        origin=owner[~keep],
         half_edge_relabeling=relab,
     )
     emap.validate()

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -32,6 +34,81 @@ def cycle_graph(n):
         mate[2 * v + 1] = 2 * w
         mate[2 * w] = 2 * v + 1
     return graph_from([2] * n, mate)
+
+
+def reference_decomposition(g):
+    """Brute-force components: one BFS per not-yet-reached vertex.
+
+    Returns (sizes, labels, degree histograms, edge counts) with clusters
+    ranked by (-size, smallest vertex), the order component_decomposition
+    promises.
+    """
+    members = []
+    reached = np.zeros(g.n, dtype=bool)
+    for v in range(g.n):
+        if not reached[v]:
+            found = np.flatnonzero(distances_from(g, v) >= 0)
+            reached[found] = True
+            members.append(found)
+    members.sort(key=lambda m: (-m.size, int(m[0])))
+    labels = np.empty(g.n, dtype=np.int64)
+    for rank, m in enumerate(members):
+        labels[m] = rank
+    degrees = g.degrees()
+    hists = [dict(Counter(degrees[m].tolist())) for m in members]
+    edge_counts = Counter(int(labels[u]) for u, _ in g.edge_iter())
+    edges = [edge_counts[rank] for rank in range(len(members))]
+    return [m.size for m in members], labels, hists, edges
+
+
+def assert_matches_reference(g):
+    cs = component_decomposition(g)
+    sizes, labels, hists, edges = reference_decomposition(g)
+    assert cs.sizes.tolist() == sizes
+    assert np.array_equal(cs.labels, labels)
+    assert cs.per_cluster_degree_hist == hists
+    assert cs.per_cluster_edges.tolist() == edges
+    return cs
+
+
+@given(degree_lists(), st.integers(0, 2**32 - 1))
+def test_decomposition_matches_bfs_reference(degrees, seed):
+    seq = DegreeSequence(np.array(degrees))
+    assert_matches_reference(pair_half_edges(seq, np.random.default_rng(seed)))
+
+
+@given(degree_lists(max_n=20), degree_lists(max_n=20), st.integers(0, 2**32 - 1))
+def test_decomposition_of_disjoint_union_matches_reference(left, right, seed):
+    rng = np.random.default_rng(seed)
+    g1 = pair_half_edges(DegreeSequence(np.array(left)), rng)
+    g2 = pair_half_edges(DegreeSequence(np.array(right)), rng)
+    cs = assert_matches_reference(disjoint_union(g1, g2))
+    assert not set(cs.labels[: g1.n].tolist()) & set(cs.labels[g1.n :].tolist())
+
+
+def test_shuffled_cycle_is_one_component():
+    # a cycle visiting the vertices in random order puts the smallest id far
+    # from most vertices, the slowest case for min-label propagation
+    n = 10_000
+    order = np.random.default_rng(4).permutation(n)
+    mate = np.empty(2 * n, dtype=np.int64)
+    tail, head = 2 * order + 1, 2 * np.roll(order, -1)
+    mate[tail], mate[head] = head, tail
+    cs = assert_matches_reference(graph_from([2] * n, mate))
+    assert cs.sizes.tolist() == [n]
+    assert cs.per_cluster_edges.tolist() == [n]
+    assert cs.per_cluster_degree_hist == [{2: n}]
+
+
+def test_self_loops_and_parallel_edges():
+    # vertex 0 carries a self-loop; vertices 1 and 2 share two parallel edges
+    # and vertex 1 has a self-loop too; vertices 3 and 4 form an edge
+    g = graph_from([2, 4, 2, 1, 1], [1, 0, 6, 7, 5, 4, 2, 3, 9, 8])
+    cs = assert_matches_reference(g)
+    assert cs.sizes.tolist() == [2, 2, 1]
+    assert cs.labels.tolist() == [2, 0, 0, 1, 1]
+    assert cs.per_cluster_edges.tolist() == [3, 1, 1]
+    assert cs.per_cluster_degree_hist == [{2: 1, 4: 1}, {1: 2}, {2: 1}]
 
 
 def test_single_edge_component():

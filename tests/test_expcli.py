@@ -1,10 +1,14 @@
 import json
 import os
+import subprocess
+import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from cmgiant import DegreeSequence, __version__
+import cmgiant
+from cmgiant import DegreeSequence, __version__, expcli
 from cmgiant.expcli import (
     ConfigError,
     config_from_dict,
@@ -283,6 +287,75 @@ def test_truncation_records(tmp_path):
     assert record["connectivity_violations"] == 0
     assert record["n_exploded"] > 0
     assert record["truncated_gmax_frac"] <= record["gmax_frac"] + 0.05
+
+
+TRUNCATION_N = 600
+
+
+def merging_exploded_clusters(decompose):
+    """Wrap decompose so that every vertex of an exploded graph lands in one
+    cluster, which makes sampled pairs connected after truncation but not
+    before: a forced violation of the truncation coupling."""
+
+    def merged(g):
+        cs = decompose(g)
+        if g.n == TRUNCATION_N:
+            return cs
+        return replace(cs, labels=np.zeros_like(cs.labels))
+
+    return merged
+
+
+def truncation_config(out_dir):
+    return config_from_dict(
+        {
+            "experiment": "truncation",
+            "n": [TRUNCATION_N],
+            "seeds": [0],
+            "b": 2,
+            "pairs": 200,
+            "out_dir": out_dir,
+        }
+    )
+
+
+def test_truncation_invariant_failure_exits_one(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(
+        expcli,
+        "component_decomposition",
+        merging_exploded_clusters(expcli.component_decomposition),
+    )
+    out = tmp_path / "out"
+    assert run_experiment(truncation_config(str(out))) == 1
+    assert "invariant failure: connectivity" in capsys.readouterr().err
+    assert os.listdir(out) == []
+
+
+def test_truncation_invariant_survives_optimize_flag(tmp_path):
+    # python -O strips assert statements; the invariant check must not be one
+    src = os.path.dirname(os.path.dirname(cmgiant.__file__))
+    tests = os.path.dirname(os.path.abspath(__file__))
+    out = str(tmp_path / "out")
+    script = (
+        "import sys\n"
+        "from cmgiant import expcli\n"
+        "from test_expcli import merging_exploded_clusters, truncation_config\n"
+        "expcli.component_decomposition = "
+        "merging_exploded_clusters(expcli.component_decomposition)\n"
+        "code = expcli.run_experiment(truncation_config(sys.argv[1]))\n"
+        "print(sys.flags.optimize, code)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, tests]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script, out],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.stdout.split() == ["1", "1"], proc.stderr
+    assert "invariant failure" in proc.stderr
+    assert os.listdir(out) == []
 
 
 def test_necessity_demo_halves_the_giant(tmp_path):

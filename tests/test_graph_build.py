@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -64,6 +66,19 @@ def test_matching_uniformity_chi_squared():
     assert p > 0.001
 
 
+def test_matching_uniformity_over_fifteen_matchings():
+    # degrees (1,2,3) give six labels and 15 perfect matchings on them
+    seq = DegreeSequence(np.array([1, 2, 3]))
+    rng = np.random.default_rng(6)
+    counts: dict[tuple[int, ...], int] = {}
+    for _ in range(30000):
+        key = tuple(pair_half_edges(seq, rng).mate.tolist())
+        counts[key] = counts.get(key, 0) + 1
+    assert len(counts) == 15
+    _, p = stats.chisquare(list(counts.values()))
+    assert p > 0.001
+
+
 def test_validate_rejects_broken_matchings():
     offsets = np.array([0, 1, 2])
     with pytest.raises(ValueError):
@@ -109,6 +124,14 @@ def test_truncate_explode_shatters_single_vertex():
     emap = truncate_explode(DegreeSequence(np.array([4])), 1)
     assert emap.truncated_degrees.degrees.tolist() == [1, 1, 1, 1]
     assert emap.origin.tolist() == [0, 0, 0]
+
+
+def test_explosion_map_validate_rejects_non_bijections():
+    emap = truncate_explode(DegreeSequence(np.array([5, 1])), 3)
+    for bad in ([0, 1, 2, 4, 4, 3], [0, 1, 2, 4, 5, 6], [0, 1, 2, 4, 5, -1],
+                [0, 1, 2, 4, 5], [0.0, 1.0, 2.0, 4.0, 5.0, 3.0]):
+        with pytest.raises(ValueError, match="bijection"):
+            replace(emap, half_edge_relabeling=np.array(bad)).validate()
 
 
 def test_truncate_explode_rejects_bad_cutoff():
