@@ -410,7 +410,6 @@ def _run_p2_demo(cfg: ExperimentConfig, n: int, seed: int) -> dict:
 def _run_truncation(cfg: ExperimentConfig, n: int, seed: int) -> dict:
     seq = _degree_sequence(cfg, n, seed)
     emap = truncate_explode(seq, cfg.b)
-    emap.validate()
     g, gp = coupled_pairing(emap, derive_rng(seed, STREAM_PAIRING))
     truncated = emap.truncated_degrees.degrees
     cap_ok = bool(

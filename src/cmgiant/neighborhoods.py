@@ -6,17 +6,33 @@ included). Each vertex also records how many of its half-edges leave the
 ball; those stubs let a radius-0 ball remember the root's degree, matching
 what the branching-process side of the comparison knows about its leaves.
 
-Canonical codes are computed by color refinement seeded with
-(distance from root, degree inside the ball, loop count, stub count),
-followed by individualization inside residual color classes. Two balls get
-the same code exactly when some root- and stub-preserving isomorphism maps
-one onto the other. Balls that exceed the size cap, or whose refinement
-leaves a color class larger than the branching cap, collapse into a single
-distinguished oversize code.
+Canonical codes name rooted isomorphism classes (root and stub marks
+preserved) exactly. The encoder first folds pendant trees: it strips non-root
+vertices of ball-degree 1 again and again, gives each stripped vertex the AHU
+string (Aho, Hopcroft and Ullman, 1974) of the tree hanging from it, labelled
+by stub counts, and adds that string to its parent's color, a sorted
+multiset. When only a loop-free root is left the ball is a tree, and its code
+is "T" plus the root's AHU string, found with no search. A pendant tree is
+no deeper than the radius r, so a ball of n vertices costs O(r n) bytes of
+copying plus the sorts. The branching-process census encodes its sampled
+trees with the same rule, so the two sides of a comparison share one code
+space. Otherwise what is left is the core: the root, the vertices on cycles,
+self-loops or multi-edges, and the paths joining them. Color refinement,
+seeded with (distance from root, degree inside the core, loop count, stub
+count, folded color), then individualization inside residual color classes
+give the core a canonical order, and the code is "G" plus the core
+serialized in that order with every vertex's stubs and folded color.
+
+A ball gets the oversize code when extraction hits the ball vertex cap,
+or when refinement leaves a class of more than CLASS_CAP interchangeable
+core vertices (individualization is factorial in its size). Classes of
+pendant vertices never count toward CLASS_CAP, so trees, including stars of
+any width, always get an exact code.
 """
 from __future__ import annotations
 
 import hashlib
+import math
 from collections import deque
 from dataclasses import dataclass
 
@@ -96,6 +112,23 @@ def _ball_structure(ball: RootedBall):
     return nbr, loops, dist
 
 
+def _ahu(stubs: int, child_codes: list[bytes]) -> bytes:
+    """AHU string of a tree vertex: its stubs, then its children's strings sorted."""
+    return b"(%d%s)" % (stubs, b"".join(sorted(child_codes)))
+
+
+def _tree_code(children: list[list[int]], stubs) -> bytes:
+    """AHU string of the stub-labelled tree rooted at 0.
+
+    children[u] lists the children of u; every child is numbered above its
+    parent, as in breadth-first order.
+    """
+    codes: list[bytes] = [b""] * len(stubs)
+    for u in range(len(stubs) - 1, -1, -1):
+        codes[u] = _ahu(stubs[u], [codes[w] for w in children[u]])
+    return codes[0]
+
+
 def _dense_ranks(keys: list) -> list[int]:
     order = {key: i for i, key in enumerate(sorted(set(keys)))}
     return [order[key] for key in keys]
@@ -119,23 +152,11 @@ def _refine(ranks: list[int], nbr: list[dict[int, int]]) -> list[int]:
         classes = new_classes
 
 
-def _serialize(ball: RootedBall, position: list[int]) -> bytes:
-    edges = sorted(
-        (min(position[a], position[b]), max(position[a], position[b]))
-        for a, b in ball.edges
-    )
-    stubs = [0] * ball.num_vertices
-    for v, s in enumerate(ball.stubs):
-        stubs[position[v]] = s
-    return repr((ball.num_vertices, tuple(edges), tuple(stubs))).encode()
-
-
 def _canon_search(
-    ball: RootedBall, ranks: list[int], nbr: list[dict[int, int]]
+    ranks: list[int], nbr: list[dict[int, int]], serialize
 ) -> bytes | None:
     """Individualization-refinement; None means a class exceeded CLASS_CAP."""
     ranks = _refine(ranks, nbr)
-    n = ball.num_vertices
     members: dict[int, list[int]] = {}
     for v, rk in enumerate(ranks):
         members.setdefault(rk, []).append(v)
@@ -145,13 +166,13 @@ def _canon_search(
             target = members[rk]
             break
     if target is None:
-        return _serialize(ball, ranks)
+        return serialize(ranks)
     if len(target) > CLASS_CAP:
         return None
     best: bytes | None = None
     for v in target:
         child = [(rk, 0 if u == v else 1) for u, rk in enumerate(ranks)]
-        code = _canon_search(ball, _dense_ranks(child), nbr)
+        code = _canon_search(_dense_ranks(child), nbr, serialize)
         if code is None:
             return None
         if best is None or code < best:
@@ -160,18 +181,46 @@ def _canon_search(
 
 
 def canonical_code(ball: RootedBall) -> CanonicalBall:
-    """Canonical byte code of a rooted ball (oversize when refinement blows up)."""
+    """Canonical byte code of a rooted ball; oversize past CLASS_CAP in the core."""
     nbr, loops, dist = _ball_structure(ball)
-    seeds = [
-        (
-            dist[u],
-            sum(nbr[u].values()) + 2 * loops[u],
-            loops[u],
-            ball.stubs[u],
-        )
-        for u in range(ball.num_vertices)
+    stubs = ball.stubs
+    degree = [sum(m.values()) + 2 * loops[u] for u, m in enumerate(nbr)]
+    hanging: list[list[bytes]] = [[] for _ in range(ball.num_vertices)]
+    pendant = [v for v in range(1, ball.num_vertices) if degree[v] == 1]
+    while pendant:
+        v = pendant.pop()
+        (p,) = nbr[v]
+        del nbr[p][v]
+        degree[v] = 0  # v has left the core
+        degree[p] -= 1
+        hanging[p].append(_ahu(stubs[v], hanging[v]))
+        if degree[p] == 1 and p != 0:
+            pendant.append(p)
+    if not degree[0]:
+        return CanonicalBall(b"T" + _ahu(stubs[0], hanging[0]))
+
+    # the core: the root and every vertex that was not stripped
+    core = [v for v, d in enumerate(degree) if d]
+    index = {v: i for i, v in enumerate(core)}
+    core_nbr = [{index[w]: m for w, m in nbr[v].items()} for v in core]
+    edges = [
+        (index[v], index[w], m) for v in core for w, m in nbr[v].items() if v < w
     ]
-    code = _canon_search(ball, _dense_ranks(seeds), nbr)
+    edges += [(index[v], index[v], loops[v]) for v in core if loops[v]]
+    marks = [(stubs[v], b"".join(sorted(hanging[v]))) for v in core]
+
+    def serialize(position: list[int]) -> bytes:
+        placed = sorted(
+            (min(position[a], position[b]), max(position[a], position[b]), m)
+            for a, b, m in edges
+        )
+        ordered: list = [None] * len(core)
+        for i, p in enumerate(position):
+            ordered[p] = marks[i]
+        return repr((tuple(placed), tuple(ordered))).encode()
+
+    seeds = [(dist[v], degree[v], loops[v], marks[i]) for i, v in enumerate(core)]
+    code = _canon_search(_dense_ranks(seeds), core_nbr, serialize)
     if code is None:
         return OVERSIZE_BALL
     return CanonicalBall(b"G" + code)
@@ -335,77 +384,51 @@ def bp_ball_distribution(
     """Distribution of depth-r tree codes under the two-stage process.
 
     Nodes at depth r draw their child count but keep it as a stub mark, the
-    exact analogue of a graph vertex on the ball's boundary. Codes are
-    memoized on a sorted-subtree key, so the generic encoder runs once per
-    distinct tree shape.
+    exact analogue of a graph vertex on the ball's boundary. Each sampled
+    tree is encoded by the same AHU rule that canonical_code applies to tree
+    balls, so a tree and an isomorphic graph ball share one code. Trees that
+    would exceed cap nodes count as oversize.
     """
     root_draws = _DrawBuffer(spec.root_pmf.support, spec.root_pmf.probabilities, rng)
     child_draws = _DrawBuffer(
         spec.shifted_pmf.support, spec.shifted_pmf.probabilities, rng
     )
-    memo: dict = {}
-    counts: dict[CanonicalBall, int] = {}
+    counts: dict[bytes, int] = {}
     for _ in range(samples):
-        parent: list[int] = [-1]
         depth: list[int] = [0]
         stub: list[int] = [0]
         children: list[list[int]] = [[]]
         oversize = False
         queue = deque([0])
-        while queue:
+        while queue and not oversize:
             u = queue.popleft()
             c = root_draws.take() if u == 0 else child_draws.take()
             if depth[u] == r:
                 stub[u] = c
                 continue
             for _ in range(c):
-                if len(parent) == cap:
+                if len(depth) == cap:
                     oversize = True
-                    queue.clear()
                     break
-                w = len(parent)
-                parent.append(u)
+                w = len(depth)
                 depth.append(depth[u] + 1)
                 stub.append(0)
                 children.append([])
                 children[u].append(w)
                 queue.append(w)
-            if oversize:
-                break
-        if oversize:
-            code = OVERSIZE_BALL
-        else:
-            keys: list = [None] * len(parent)
-            for u in range(len(parent) - 1, -1, -1):
-                if depth[u] == r:
-                    keys[u] = ("L", stub[u])
-                else:
-                    keys[u] = ("I", tuple(sorted(keys[w] for w in children[u])))
-            root_key = keys[0]
-            code = memo.get(root_key)
-            if code is None:
-                ball = RootedBall(
-                    num_vertices=len(parent),
-                    edges=tuple(
-                        sorted(
-                            (min(parent[u], u), max(parent[u], u))
-                            for u in range(1, len(parent))
-                        )
-                    ),
-                    stubs=tuple(stub),
-                    radius=r,
-                    boundary_size=sum(1 for d in depth if d == r),
-                )
-                code = canonical_code(ball)
-                memo[root_key] = code
+        code = _OVERSIZE if oversize else b"T" + _tree_code(children, stub)
         counts[code] = counts.get(code, 0) + 1
-    return {code: c / samples for code, c in counts.items()}
+    return {CanonicalBall(code): c / samples for code, c in counts.items()}
 
 
 def tv_distance(a: BallDistribution, b: BallDistribution) -> float:
-    """Total variation distance between two code distributions."""
+    """Total variation distance between two code distributions.
+
+    math.fsum rounds the sum exactly, so the result does not depend on the
+    iteration order of the key set (which follows the string hash seed).
+    """
     keys = set(a) | set(b)
-    return 0.5 * sum(abs(a.get(k, 0.0) - b.get(k, 0.0)) for k in keys)
+    return 0.5 * math.fsum(abs(a.get(k, 0.0) - b.get(k, 0.0)) for k in keys)
 
 
 def tree_string(ball: RootedBall) -> str:

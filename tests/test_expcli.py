@@ -245,6 +245,34 @@ def test_local_conv_records(tmp_path):
     assert "theory_giant_deg1" in header
 
 
+def test_local_conv_output_ignores_hash_seed(tmp_path):
+    # the census dicts are keyed by bytes codes, whose set order follows
+    # PYTHONHASHSEED; the written results must not
+    src = os.path.dirname(os.path.dirname(cmgiant.__file__))
+    script = (
+        "import sys\n"
+        "from cmgiant.expcli import config_from_dict, run_experiment\n"
+        "cfg = config_from_dict({'experiment': 'local_conv', 'n': [400], "
+        "'seeds': [0, 1], 'r': [1, 2], 'bp_samples': 3000, 'out_dir': sys.argv[1]})\n"
+        "sys.exit(run_experiment(cfg))\n"
+    )
+    outs = []
+    for hash_seed in ("1", "2"):
+        out = str(tmp_path / f"hash{hash_seed}")
+        env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=hash_seed)
+        proc = subprocess.run(
+            [sys.executable, "-c", script, out],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outs.append(out)
+    for name in ("results.jsonl", "summary.csv"):
+        assert read(os.path.join(outs[0], name)) == read(os.path.join(outs[1], name))
+
+
 def test_coupling_records(tmp_path):
     cfg = config_from_dict(
         {

@@ -23,6 +23,7 @@ from cmgiant import (
 )
 from cmgiant.neighborhoods import (
     OVERSIZE_BALL,
+    _tree_code,
     extract_ball,
     tree_string,
     write_distribution_csv,
@@ -203,11 +204,88 @@ def test_disconnected_ball_rejected():
         canonical_code(ball(2, [], (0, 0)))
 
 
-def test_large_symmetric_class_collapses_to_oversize():
-    edges = [(0, i) for i in range(1, 10)]
+@pytest.mark.parametrize("leaves", [9, 10, 11, 12])
+def test_large_stars_get_exact_codes(leaves):
+    # a star is fixed up to isomorphism by the root's stubs and the multiset
+    # of leaf stubs; codes must follow exactly that, past CLASS_CAP leaves
+    rng = np.random.default_rng(leaves)
+    edges = [(0, i) for i in range(1, leaves + 1)]
+    leaf_stubs = [[0] * leaves, [0] * (leaves - 1) + [1], [1] * leaves]
+    leaf_stubs += [rng.integers(0, 3, size=leaves).tolist() for _ in range(20)]
+    codes: dict[tuple, CanonicalBall] = {}
+    for root_stubs in (0, 2):
+        for marks in leaf_stubs:
+            code = canonical_code(ball(leaves + 1, edges, (root_stubs, *marks)))
+            assert not code.oversize
+            shuffled = rng.permutation(marks).tolist()
+            permuted = ball(leaves + 1, edges, (root_stubs, *shuffled))
+            assert canonical_code(permuted) == code
+            assert codes.setdefault((root_stubs, tuple(sorted(marks))), code) == code
+    assert len(set(codes.values())) == len(codes)
+
+
+def test_large_symmetric_core_class_is_oversize():
+    # nine vertices each joined to the root by a double edge stay in the
+    # core and form one class of nine, past CLASS_CAP
+    edges = [(0, i) for i in range(1, 10) for _ in range(2)]
     code = canonical_code(ball(10, edges, (0,) * 10))
     assert code == OVERSIZE_BALL
     assert code.oversize
+
+
+def relabeled(b: RootedBall, pos: list[int]) -> RootedBall:
+    """The same ball with vertex v renamed pos[v]."""
+    stubs = [0] * b.num_vertices
+    for v, s in enumerate(b.stubs):
+        stubs[pos[v]] = s
+    edges = [(min(pos[a], pos[x]), max(pos[a], pos[x])) for a, x in b.edges]
+    return ball(b.num_vertices, edges, stubs)
+
+
+@given(st.data())
+def test_code_invariant_with_pendant_trees_on_a_core(data):
+    # a stem from the root to a cycle, self-loops or a multi-edge, then
+    # random stub-labelled trees hung anywhere, up to 14 vertices in all
+    stem = data.draw(st.integers(0, 2))
+    edges = [(v, v + 1) for v in range(stem)]
+    n = stem + 1
+    kind = data.draw(st.sampled_from(["cycle", "loop", "multi"]))
+    if kind == "cycle":
+        length = data.draw(st.integers(3, 5))
+        ring = [stem] + list(range(n, n + length - 1))
+        n += length - 1
+        edges += [(ring[i], ring[(i + 1) % length]) for i in range(length)]
+    elif kind == "loop":
+        edges += [(stem, stem)] * data.draw(st.integers(1, 2))
+    else:
+        edges += [(stem, n)] * data.draw(st.integers(2, 3))
+        n += 1
+    for v in range(n, data.draw(st.integers(n, 14))):
+        edges.append((data.draw(st.integers(0, v - 1)), v))
+        n += 1
+    stubs = tuple(data.draw(st.integers(0, 2)) for _ in range(n))
+    b = ball(n, [(min(a, x), max(a, x)) for a, x in edges], stubs)
+    code = canonical_code(b)
+    assert code.code.startswith(b"G")
+    perm = data.draw(st.permutations(list(range(1, n))))
+    assert canonical_code(relabeled(b, [0] + list(perm))) == code
+
+
+@given(st.integers(1, 14), st.data())
+def test_tree_codes_match_the_branching_process_encoder(n, data):
+    # bp_ball_distribution encodes its breadth-first child lists directly;
+    # canonical_code must give the same bytes for the same tree under any
+    # labelling of the graph side
+    parent = [-1] + [data.draw(st.integers(0, v - 1)) for v in range(1, n)]
+    children: list[list[int]] = [[] for _ in range(n)]
+    for v in range(1, n):
+        children[parent[v]].append(v)
+    stubs = tuple(data.draw(st.integers(0, 3)) for _ in range(n))
+    tree = ball(n, [(parent[v], v) for v in range(1, n)], stubs)
+    perm = data.draw(st.permutations(list(range(1, n))))
+    expected = b"T" + _tree_code(children, stubs)
+    assert canonical_code(tree).code == expected
+    assert canonical_code(relabeled(tree, [0] + list(perm))).code == expected
 
 
 def test_extract_ball_radius_zero():
