@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -18,19 +19,30 @@ class ComponentSummary:
 
     Attributes:
         sizes: cluster sizes in rank order.
-        per_cluster_degree_hist: degree -> vertex count, one dict per cluster.
         per_cluster_edges: edge count per cluster (self-loops count once).
         labels: vertex -> cluster rank.
+        degrees: vertex -> degree.
     """
 
     sizes: np.ndarray
-    per_cluster_degree_hist: list[dict[int, int]]
     per_cluster_edges: np.ndarray
     labels: np.ndarray
+    degrees: np.ndarray
 
     @property
     def num_clusters(self) -> int:
         return int(self.sizes.size)
+
+    @cached_property
+    def per_cluster_degree_hist(self) -> list[dict[int, int]]:
+        """degree -> vertex count, one dict per cluster; built on first use
+        from one np.unique over (rank, degree) pairs."""
+        width = int(self.degrees.max(initial=0)) + 1
+        keys, freq = np.unique(self.labels * width + self.degrees, return_counts=True)
+        hists: list[dict[int, int]] = [{} for _ in range(self.num_clusters)]
+        for rank, d, c in zip((keys // width).tolist(), (keys % width).tolist(), freq.tolist()):
+            hists[rank][d] = c
+        return hists
 
 
 def _min_vertex_labels(g: HalfEdgeGraph) -> np.ndarray:
@@ -67,8 +79,8 @@ def component_decomposition(g: HalfEdgeGraph) -> ComponentSummary:
     Every vertex is first labeled by the smallest vertex of its component
     (`_min_vertex_labels`). Components are ranked with one lexsort on
     (-size, smallest vertex); the per-cluster edge counts come from one
-    bincount of degrees over ranks, and the degree histograms from one
-    np.unique over (rank, degree) pairs.
+    bincount of degrees over ranks. The degree histograms are built only
+    when first read.
     """
     n = g.n
     root = _min_vertex_labels(g)
@@ -83,18 +95,7 @@ def component_decomposition(g: HalfEdgeGraph) -> ComponentSummary:
     degrees = g.degrees()
     # Both half-edges of every edge lie inside its cluster.
     edges = np.bincount(labels, weights=degrees, minlength=sizes.size).astype(np.int64) // 2
-    width = int(degrees.max(initial=0)) + 1
-    keys, freq = np.unique(labels * width + degrees, return_counts=True)
-    degree_hists: list[dict[int, int]] = [{} for _ in range(sizes.size)]
-    for rank, d, c in zip((keys // width).tolist(), (keys % width).tolist(), freq.tolist()):
-        degree_hists[rank][d] = c
-
-    return ComponentSummary(
-        sizes=sizes,
-        per_cluster_degree_hist=degree_hists,
-        per_cluster_edges=edges,
-        labels=labels,
-    )
+    return ComponentSummary(sizes=sizes, per_cluster_edges=edges, labels=labels, degrees=degrees)
 
 
 @dataclass(frozen=True)
@@ -109,7 +110,8 @@ def giant_statistics(cs: ComponentSummary, n: int) -> GiantStatistics:
     """Normalized statistics of the largest cluster."""
     gmax_frac = float(cs.sizes[0] / n)
     second_frac = float(cs.sizes[1] / n) if cs.num_clusters > 1 else 0.0
-    vk = {k: c / n for k, c in sorted(cs.per_cluster_degree_hist[0].items())}
+    hist = np.bincount(cs.degrees[cs.labels == 0])
+    vk = {int(k): int(hist[k]) / n for k in np.flatnonzero(hist)}
     edge_frac = float(cs.per_cluster_edges[0] / n)
     return GiantStatistics(gmax_frac, second_frac, vk, edge_frac)
 

@@ -165,12 +165,33 @@ def _parse_seeds(value) -> tuple[int, ...]:
     raise ConfigError("field 'seeds': expected an integer count or a list of integers")
 
 
+def _is_integral(value) -> bool:
+    """An int, or a float with an integer value; never a bool or a string."""
+    if isinstance(value, bool):
+        return False
+    return isinstance(value, int) or (isinstance(value, float) and value.is_integer())
+
+
 def _parse_int_list(value, name: str) -> tuple[int, ...]:
     if isinstance(value, list) and value and all(
-        isinstance(s, int) and not isinstance(s, bool) and s >= 1 for s in value
+        _is_integral(s) and s >= 1 for s in value
     ):
-        return tuple(value)
+        return tuple(int(s) for s in value)
     raise ConfigError(f"field {name!r}: expected a non-empty list of positive integers")
+
+
+def _parse_int(data: dict, name: str, default: int) -> int:
+    value = data.get(name, default)
+    if not _is_integral(value) or value < 1:
+        raise ConfigError(f"field {name!r}: expected a positive integer, got {value!r}")
+    return int(value)
+
+
+def _parse_float(data: dict, name: str, default: float) -> float:
+    value = data.get(name, default)
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ConfigError(f"field {name!r}: expected a number, got {value!r}")
+    return float(value)
 
 
 def config_from_dict(data: dict, source: str = "<config>") -> ExperimentConfig:
@@ -218,19 +239,17 @@ def config_from_dict(data: dict, source: str = "<config>") -> ExperimentConfig:
         seeds=seeds,
         k_values=_parse_int_list(data.get("k", [50]), "k"),
         r_values=_parse_int_list(data.get("r", [2]), "r"),
-        b=int(data.get("b", 2)),
-        alpha=float(data.get("alpha", 0.6)),
-        delta=float(data.get("delta", 0.1)),
-        m_exponent=float(data.get("m_exponent", 0.4)),
-        pairs=int(data.get("pairs", 1000)),
-        bp_samples=int(data.get("bp_samples", 100000)),
+        b=_parse_int(data, "b", 2),
+        alpha=_parse_float(data, "alpha", 0.6),
+        delta=_parse_float(data, "delta", 0.1),
+        m_exponent=_parse_float(data, "m_exponent", 0.4),
+        pairs=_parse_int(data, "pairs", 1000),
+        bp_samples=_parse_int(data, "bp_samples", 100000),
         out_dir=str(data.get("out_dir", "cmgiant_out")),
         raw=dict(data),
     )
-    if cfg.b < 1:
-        raise ConfigError(f"{source}: field 'b' must be at least 1")
-    if cfg.pairs < 1 or cfg.bp_samples < 1:
-        raise ConfigError(f"{source}: fields 'pairs' and 'bp_samples' must be positive")
+    if not 0 < cfg.m_exponent <= 1:
+        raise ConfigError(f"{source}: field 'm_exponent' must lie in (0, 1]")
     return cfg
 
 
@@ -622,11 +641,14 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> int:
 def _apply_overrides(data: dict, args: argparse.Namespace) -> dict:
     data = dict(data)
     data["experiment"] = args.experiment
-    if args.n:
-        data["n"] = [int(x) for x in args.n.split(",")]
-    if args.seeds:
-        raw = args.seeds
-        data["seeds"] = [int(x) for x in raw.split(",")] if "," in raw else int(raw)
+    try:
+        if args.n:
+            data["n"] = [int(x) for x in args.n.split(",")]
+        if args.seeds:
+            raw = args.seeds
+            data["seeds"] = [int(x) for x in raw.split(",")] if "," in raw else int(raw)
+    except ValueError as exc:
+        raise ConfigError(f"options --n/--seeds: {exc}") from exc
     out_dir = args.out or os.environ.get(OUT_DIR_ENV) or data.get("out_dir")
     if out_dir:
         data["out_dir"] = out_dir

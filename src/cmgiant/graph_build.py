@@ -157,13 +157,18 @@ def pair_half_edges(seq: DegreeSequence, rng: np.random.Generator) -> HalfEdgeGr
     then order each pair), so the matching is uniform. The generator is
     consumed by one rng.permutation(ell) call. Runs in O(total degree).
     """
-    perm = rng.permutation(seq.total_degree)
+    graph = HalfEdgeGraph.from_degrees(seq, _permutation_matching(seq.total_degree, rng))
+    graph.validate()
+    return graph
+
+
+def _permutation_matching(ell: int, rng: np.random.Generator) -> np.ndarray:
+    """The involution pairing perm[2i] with perm[2i+1] for perm = rng.permutation(ell)."""
+    perm = rng.permutation(ell)
     mate = np.empty_like(perm)
     mate[perm[0::2]] = perm[1::2]
     mate[perm[1::2]] = perm[0::2]
-    graph = HalfEdgeGraph.from_degrees(seq, mate)
-    graph.validate()
-    return graph
+    return mate
 
 
 def truncate_explode(seq: DegreeSequence, b: int) -> ExplosionMap:
@@ -229,9 +234,13 @@ def apply_shared_matching(
 def coupled_pairing(
     emap: ExplosionMap, rng: np.random.Generator
 ) -> tuple[HalfEdgeGraph, HalfEdgeGraph]:
-    """Draw one uniform matching and build both coupled graphs from it."""
-    base = pair_half_edges(emap.original_degrees, rng)
-    return apply_shared_matching(emap, base.mate)
+    """Draw one uniform matching and build both coupled graphs from it.
+
+    The matching is drawn as in pair_half_edges, and each graph is validated
+    once, by apply_shared_matching.
+    """
+    mate = _permutation_matching(emap.original_degrees.total_degree, rng)
+    return apply_shared_matching(emap, mate)
 
 
 def disjoint_union(g1: HalfEdgeGraph, g2: HalfEdgeGraph) -> HalfEdgeGraph:

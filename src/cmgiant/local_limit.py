@@ -4,11 +4,20 @@ The local picture around a uniform vertex is a two-stage branching process:
 the root's child count follows the degree law itself, while every later
 individual draws children from the size-biased-and-shifted law. All the
 giant-component limits in this library are functionals of that process.
+
+Every sampler here tracks generation sizes only and takes the same step:
+the children of a generation of m forward individuals are one multinomial
+draw over the forward law, weighted by its support. The single-tree samplers
+take that step with an int. The Monte Carlo estimators run all their trees
+in lockstep: one draw of every root, then, per generation, one multinomial
+over the trees still alive, in increasing sample index. Each law is turned
+into arrays once per OffspringSpec.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -55,6 +64,15 @@ class OffspringSpec:
             "zeta": self.zeta,
         }
         return json.dumps(payload, sort_keys=True)
+
+    @cached_property
+    def _arrays(self) -> tuple[np.ndarray, ...]:
+        """Root support and cdf (normalized as rng.choice does), forward
+        support and probabilities; built once per spec."""
+        cdf = np.cumsum(self.root_pmf.probabilities)
+        cdf /= cdf[-1]
+        child = self.shifted_pmf
+        return np.array(self.root_pmf.support), cdf, np.array(child.support), np.array(child.probabilities)
 
 
 def _generating_function(pmf: Pmf, x: float) -> float:
@@ -145,6 +163,19 @@ def _truncated_poly_power_sum(pmf: Pmf, h: np.ndarray, size: int) -> np.ndarray:
     return out
 
 
+def _draw_roots(spec: OffspringSpec, rng: np.random.Generator, size: int | None = None):
+    """Root child counts, consuming rng as rng.choice(support, size, p=probs) would."""
+    support, cdf, _, _ = spec._arrays
+    return support[cdf.searchsorted(rng.random(size), side="right")]
+
+
+def _next_generation(spec: OffspringSpec, rng: np.random.Generator, gen):
+    """Children of `gen` forward individuals: an int, or an int64 array of one
+    generation per tree, drawn in index order."""
+    _, _, support, probs = spec._arrays
+    return rng.multinomial(gen, probs) @ support
+
+
 def zeta_geq_k(
     spec: OffspringSpec,
     k: int,
@@ -157,7 +188,10 @@ def zeta_geq_k(
     exact mode builds the progeny distribution below k by iterating the
     truncated polynomial equation H <- s * G(H); a forward tree with t < k
     members has height below k, so k rounds make the low coefficients exact.
-    monte_carlo simulates generation totals with early stopping.
+    monte_carlo runs all `samples` trees in lockstep: one draw of every root,
+    then one multinomial step per generation over the trees still alive. A
+    tree leaves once its generation is empty or its total reaches k, so at
+    most k steps are taken.
 
     Args:
         k: threshold, at least 1; exact mode requires k <= 30.
@@ -182,23 +216,16 @@ def zeta_geq_k(
     if mode == "monte_carlo":
         if rng is None:
             raise ValueError("monte_carlo mode needs an rng")
-        root_support = np.array(spec.root_pmf.support, dtype=np.int64)
-        root_probs = np.array(spec.root_pmf.probabilities)
-        child_support = np.array(spec.shifted_pmf.support, dtype=np.int64)
-        child_probs = np.array(spec.shifted_pmf.probabilities)
-        hits = 0
-        roots = rng.choice(root_support, size=samples, p=root_probs)
-        for i in range(samples):
-            total = 1
-            gen = int(roots[i])
-            while gen > 0 and total < k:
-                total += gen
-                if total >= k:
-                    break
-                counts = rng.multinomial(gen, child_probs)
-                gen = int(child_support @ counts)
-            hits += total >= k
-        return hits / samples
+        gen = _draw_roots(spec, rng, samples)
+        total = 1 + gen
+        live = np.flatnonzero(total < k)
+        gen = gen[live]
+        while live.size:
+            gen = _next_generation(spec, rng, gen)
+            total[live] += gen
+            keep = (gen > 0) & (total[live] < k)
+            live, gen = live[keep], gen[keep]
+        return int(np.count_nonzero(total >= k)) / samples
     raise ValueError(f"unknown mode {mode!r}")
 
 
@@ -225,13 +252,12 @@ def simulate_unimodular_bp(
 
     Only generation totals are tracked; the sum of children over a
     generation of size m is drawn in one multinomial step, which matches the
-    per-individual law exactly.
+    per-individual law exactly. The generator is consumed by one uniform for
+    the root, then one multinomial per nonempty generation before the cap.
     """
     sizes = [1]
     total = 1
-    gen = int(rng.choice(np.array(spec.root_pmf.support), p=np.array(spec.root_pmf.probabilities)))
-    child_support = np.array(spec.shifted_pmf.support, dtype=np.int64)
-    child_probs = np.array(spec.shifted_pmf.probabilities)
+    gen = int(_draw_roots(spec, rng))
     truncated = False
     for _ in range(max_generation):
         sizes.append(gen)
@@ -239,11 +265,8 @@ def simulate_unimodular_bp(
         if total >= cap:
             truncated = True
             break
-        if gen == 0:
-            gen = 0
-        else:
-            counts = rng.multinomial(gen, child_probs)
-            gen = int(child_support @ counts)
+        if gen:
+            gen = int(_next_generation(spec, rng, gen))
     return BranchingRun(tuple(sizes), total, truncated)
 
 
@@ -257,23 +280,19 @@ def simulate_offspring_generations(
     """Generation sizes of the forward process started from b0 individuals.
 
     Every individual, including the starting generation's successors, draws
-    children from the shifted law. Used to study how a large generation
-    evolves once the process is already well established.
+    children from the shifted law, one multinomial per nonempty generation.
+    Used to study how a large generation evolves once the process is already
+    well established.
     """
     if b0 < 1:
         raise ValueError("need a positive starting generation")
     sizes = [b0]
     total = b0
     gen = b0
-    child_support = np.array(spec.shifted_pmf.support, dtype=np.int64)
-    child_probs = np.array(spec.shifted_pmf.probabilities)
     truncated = False
     for _ in range(generations):
-        if gen == 0:
-            sizes.append(0)
-            continue
-        counts = rng.multinomial(gen, child_probs)
-        gen = int(child_support @ counts)
+        if gen:
+            gen = int(_next_generation(spec, rng, gen))
         sizes.append(gen)
         total += gen
         if cap is not None and total >= cap:
@@ -302,42 +321,33 @@ def estimate_cond_limit(
 ) -> CondLimitEstimate:
     """Estimate P(progeny >= k, generation r < r_k) and its mirror image.
 
-    A tree that is still alive after generation r keeps at least one member
-    per generation, so running at most k extra generations decides whether
-    total progeny reaches k; no cap beyond that is needed.
+    All `samples` trees run in lockstep: one draw of every root, then one
+    multinomial step per generation over the trees still alive. A tree
+    leaves once its generation is empty, or once generation r is recorded
+    and its total reaches k. A live tree gains at least one member per
+    generation, so at most k + r steps are taken.
     """
-    root_support = np.array(spec.root_pmf.support, dtype=np.int64)
-    root_probs = np.array(spec.root_pmf.probabilities)
-    child_support = np.array(spec.shifted_pmf.support, dtype=np.int64)
-    child_probs = np.array(spec.shifted_pmf.probabilities)
-    big_small = 0
-    small_big = 0
-    roots = rng.choice(root_support, size=samples, p=root_probs)
-    for i in range(samples):
-        gen = int(roots[i])
-        total = 1
-        boundary_r = 1 if r == 0 else None
-        generation = 1
-        while True:
-            if generation == r:
-                boundary_r = gen
-            if gen == 0:
-                break
-            if boundary_r is not None and total >= k:
-                break
-            total += gen
-            counts = rng.multinomial(gen, child_probs)
-            gen = int(child_support @ counts)
-            generation += 1
-        big = total >= k
-        fat = boundary_r is not None and boundary_r >= r_k
-        if big and not fat:
-            big_small += 1
-        if not big and fat:
-            small_big += 1
+    gen = _draw_roots(spec, rng, samples)
+    total = np.ones(samples, dtype=np.int64)
+    fat = np.full(samples, r == 0 and r_k <= 1)  # generation 0 is the root alone
+    live = np.arange(samples)
+    generation = 1
+    while True:
+        if generation == r:
+            fat[live] = gen >= r_k
+        keep = gen > 0
+        if generation >= r:
+            keep &= total[live] < k
+        live, gen = live[keep], gen[keep]
+        if not live.size:
+            break
+        total[live] += gen
+        gen = _next_generation(spec, rng, gen)
+        generation += 1
+    big = total >= k
     return CondLimitEstimate(
-        big_cluster_small_boundary=big_small / samples,
-        small_cluster_big_boundary=small_big / samples,
+        big_cluster_small_boundary=int(np.count_nonzero(big & ~fat)) / samples,
+        small_cluster_big_boundary=int(np.count_nonzero(~big & fat)) / samples,
         samples=samples,
     )
 

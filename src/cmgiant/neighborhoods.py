@@ -252,22 +252,21 @@ def extract_ball(
         if overflow:
             break
     local = {u: i for i, u in enumerate(order)}
-    mate = g.mate
-    owner = g.owner
-    goff = g.offsets
     edges = []
     stubs = [0] * len(order)
-    for u in order:
-        lu = local[u]
-        for x in range(int(goff[u]), int(goff[u + 1])):
-            y = int(mate[x])
-            w = int(owner[y])
-            if w in local:
-                if x < y:
-                    a, b = lu, local[w]
-                    edges.append((a, b) if a <= b else (b, a))
-            else:
+    # Each edge is counted from its endpoint of lower local index; a
+    # self-loop puts u twice in u's own list.
+    for lu, u in enumerate(order):
+        loops = 0
+        for i in range(offsets[u], offsets[u + 1]):
+            lw = local.get(nbr[i])
+            if lw is None:
                 stubs[lu] += 1
+            elif lw > lu:
+                edges.append((lu, lw))
+            elif lw == lu:
+                loops += 1
+        edges.extend([(lu, lu)] * (loops // 2))
     boundary = sum(1 for u in order if dist[u] == r)
     ball = RootedBall(
         num_vertices=len(order),

@@ -6,38 +6,9 @@ vertex of a large graph stays cheap.
 """
 from __future__ import annotations
 
-from collections import deque
-
 import numpy as np
 
 from .graph_build import HalfEdgeGraph
-
-
-def ball(g: HalfEdgeGraph, v: int, r: int, cap: int | None = None):
-    """Vertices within graph distance r of v, in discovery order.
-
-    Returns (vertices, distances, overflow): parallel lists plus a flag set
-    when the ball would exceed cap vertices, in which case the lists hold
-    the truncated prefix.
-    """
-    offsets, nbr = g.adjacency()
-    dist = {v: 0}
-    order = [v]
-    queue = deque([v])
-    while queue:
-        u = queue.popleft()
-        du = dist[u]
-        if du == r:
-            break
-        for i in range(offsets[u], offsets[u + 1]):
-            w = nbr[i]
-            if w not in dist:
-                dist[w] = du + 1
-                order.append(w)
-                if cap is not None and len(order) > cap:
-                    return order, [dist[x] for x in order], True
-                queue.append(w)
-    return order, [dist[x] for x in order], False
 
 
 def boundary_counts(g: HalfEdgeGraph, r: int) -> np.ndarray:
@@ -110,21 +81,3 @@ def pair_distance(g: HalfEdgeGraph, a: int, b: int) -> int | None:
         else:
             frontier_b = nxt
     return None
-
-
-def distances_from(g: HalfEdgeGraph, v: int) -> np.ndarray:
-    """Single-source distances (-1 for unreachable). Used by small oracles."""
-    n = g.n
-    offsets, nbr = g.adjacency()
-    dist = np.full(n, -1, dtype=np.int64)
-    dist[v] = 0
-    queue = deque([v])
-    while queue:
-        u = queue.popleft()
-        du = int(dist[u])
-        for i in range(offsets[u], offsets[u + 1]):
-            w = nbr[i]
-            if dist[w] < 0:
-                dist[w] = du + 1
-                queue.append(w)
-    return dist

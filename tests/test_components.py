@@ -15,7 +15,7 @@ from cmgiant import (
     pair_half_edges,
     sum_squares_ratio,
 )
-from cmgiant.traversal import distances_from
+from oracles import distances_from
 from strategies import degree_lists
 
 

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from cmgiant import DegreeSequence, pair_half_edges, sample_distances, scaling_report
 from cmgiant.distances import DistanceSample
-from cmgiant.traversal import distances_from, pair_distance
+from cmgiant.traversal import pair_distance
+from oracles import distances_from
 from strategies import degree_lists
 from test_components import cycle_graph, graph_from
 

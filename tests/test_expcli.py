@@ -452,6 +452,49 @@ def test_main_bad_config_exits_two(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("b", "x"),
+        ("b", True),
+        ("b", 2.5),
+        ("pairs", 2.5),
+        ("pairs", "10"),
+        ("bp_samples", 1e3 + 0.5),
+        ("bp_samples", False),
+        ("n", [400, 2.5]),
+        ("n", ["400"]),
+        ("k", [True]),
+        ("r", [1.5]),
+        ("m_exponent", -1),
+        ("m_exponent", 0),
+        ("m_exponent", 1.5),
+        ("m_exponent", "0.4"),
+    ],
+)
+def test_main_malformed_field_exits_two_naming_it(tmp_path, capsys, field, value):
+    config_path = tmp_path / "cfg.json"
+    config_path.write_text(json.dumps(cfg_dict(**{field: value})))
+    out = str(tmp_path / "out")
+    assert main(["giant", "--config", str(config_path), "--out", out]) == 2
+    assert f"'{field}'" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+def test_main_malformed_override_exits_two(tmp_path, capsys):
+    out = str(tmp_path / "out")
+    assert main(["giant", "--n", "abc", "--out", out]) == 2
+    assert main(["giant", "--seeds", "1,x", "--out", out]) == 2
+    assert "--n/--seeds" in capsys.readouterr().err
+
+
+def test_integral_floats_parse_as_integers():
+    cfg = config_from_dict(cfg_dict(b=3.0, pairs=20.0, n=[400.0], k=[10.0], m_exponent=1))
+    assert (cfg.b, cfg.pairs, cfg.sizes, cfg.k_values) == (3, 20, (400,), (10,))
+    assert all(type(x) is int for x in (cfg.b, cfg.pairs, *cfg.sizes, *cfg.k_values))
+    assert cfg.sha256() == config_from_dict(cfg_dict(b=3, pairs=20, k=[10], m_exponent=1.0)).sha256()
+
+
 def test_out_dir_env_var(tmp_path, monkeypatch):
     env_dir = str(tmp_path / "from_env")
     monkeypatch.setenv("CMGIANT_OUT", env_dir)

@@ -16,8 +16,12 @@ from cmgiant import (
     theoretical_giant,
     zeta_geq_k,
 )
-from cmgiant.local_limit import simulate_offspring_generations
-from strategies import pmfs
+from cmgiant.local_limit import (
+    EXACT_PROGENY_MAX_K,
+    _draw_roots,
+    simulate_offspring_generations,
+)
+from strategies import pmf_dicts, pmfs
 
 
 def spec_of(masses):
@@ -239,6 +243,78 @@ def test_cond_limit_cross_checks_progeny_tail():
     se = math.sqrt(expected * (1 - expected) / samples)
     assert est.big_cluster_small_boundary == 0.0
     assert abs(est.small_cluster_big_boundary - expected) <= 4 * se
+
+
+# Outputs of the per-tree samplers recorded before the lockstep rewrite; the
+# single-tree streams must not change.
+PINNED_LAW = {1: 0.4, 4: 0.3, 10: 0.3}
+PINNED_BP = [
+    ((1, 1, 9, 75), 86, True), ((1, 10, 84), 95, True), ((1, 10, 69), 80, True),
+    ((1, 4, 30, 201), 236, True), ((1, 4, 24, 132), 161, True), ((1, 1, 9, 63), 74, True),
+    ((1, 1, 3, 21), 26, False), ((1, 10, 75), 86, True), ((1, 4, 24, 189), 218, True),
+    ((1, 1, 9, 45), 56, False), ((1, 1, 0, 0), 2, False), ((1, 4, 36, 246), 287, True),
+]
+PINNED_FORWARD = [
+    ((1, 3, 27, 195), 226, False), ((2, 18, 99, 705), 824, False), ((1, 9, 69), 79, True),
+    ((5, 27, 204), 236, True), ((1, 3, 12, 72), 88, False), ((1, 3, 27, 168), 199, False),
+    ((1, 9, 57, 372), 439, False), ((1, 9, 69, 459), 538, False),
+]
+
+
+def as_tuple(run):
+    return run.generation_sizes, run.total, run.truncated
+
+
+def test_single_tree_streams_are_pinned():
+    spec = spec_of(PINNED_LAW)
+    rng = np.random.default_rng(11)
+    runs = [as_tuple(simulate_unimodular_bp(spec, 3, 60, rng)) for _ in range(12)]
+    assert runs == PINNED_BP
+    assert all(type(x) is int for sizes, total, _ in runs for x in (*sizes, total))
+    rng = np.random.default_rng(12)
+    starts = [(1, None), (2, None), (1, 40), (5, 100), (1, None), (1, None), (1, None), (1, None)]
+    runs = [as_tuple(simulate_offspring_generations(spec, b0, 3, rng, cap=cap)) for b0, cap in starts]
+    assert runs == PINNED_FORWARD
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_root_draws_match_rng_choice(seed):
+    spec = spec_of(PINNED_LAW)
+    support = np.array(spec.root_pmf.support)
+    probs = np.array(spec.root_pmf.probabilities)
+    mine, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    assert _draw_roots(spec, mine) == ref.choice(support, p=probs)
+    assert np.array_equal(_draw_roots(spec, mine, 1000), ref.choice(support, size=1000, p=probs))
+    assert mine.random() == ref.random()
+
+
+Z = 5
+
+
+@given(pmf_dicts(), st.integers(1, EXACT_PROGENY_MAX_K), st.integers(0, 2**32 - 1))
+def test_lockstep_estimators_match_exact_progeny_tail(masses, k, seed):
+    spec = spec_of(masses)
+    samples = 4000
+    exact = zeta_geq_k(spec, k)
+    se = math.sqrt(max(exact * (1 - exact), 1e-12) / samples)
+    mc = zeta_geq_k(spec, k, mode="monte_carlo", rng=np.random.default_rng(seed), samples=samples)
+    assert abs(mc - exact) <= Z * se + 1e-9
+    # with r = 0 and r_k = 1 every tree is fat, so the small-cluster
+    # frequency estimates P(total < k)
+    est = estimate_cond_limit(spec, k, 0, 1, samples, np.random.default_rng(seed + 1))
+    assert est.big_cluster_small_boundary == 0.0
+    assert abs(est.small_cluster_big_boundary - (1 - exact)) <= Z * se + 1e-9
+
+
+def test_lockstep_estimators_terminate_on_a_subcritical_law():
+    # nu = 6/7: every tree dies out, so no threshold is ever reached and
+    # the loops end only because the live set empties
+    spec = spec_of({1: 0.8, 3: 0.2})
+    rng = np.random.default_rng(3)
+    assert zeta_geq_k(spec, 10**9, mode="monte_carlo", rng=rng, samples=5000) == 0.0
+    est = estimate_cond_limit(spec, k=10**9, r=10**6, r_k=1, samples=5000, rng=rng)
+    assert est.big_cluster_small_boundary == 0.0
+    assert est.small_cluster_big_boundary == 0.0
 
 
 def test_envelope_first_step():

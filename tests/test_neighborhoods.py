@@ -347,6 +347,65 @@ def test_extract_ball_fuzz_degrees_add_up(degrees, r, seed):
     assert b.boundary_size <= b.num_vertices
 
 
+def ball_from_edge_list(g, v, r, cap):
+    """The radius-r ball of v rebuilt from g.edge_iter(), with the overflow flag.
+
+    Vertices are numbered in breadth-first discovery order over each
+    vertex's half-edges, as extract_ball numbers them.
+    """
+    dist = {v: 0}
+    order = [v]
+    for u in order:
+        if dist[u] < r:
+            for w in g.neighbors(u).tolist():
+                if w not in dist:
+                    dist[w] = dist[u] + 1
+                    order.append(w)
+    overflow = len(order) > cap
+    order = order[:cap]
+    local = {u: i for i, u in enumerate(order)}
+    edges = []
+    inside = [0] * len(order)
+    for a, b in g.edge_iter():
+        if a in local and b in local:
+            la, lb = sorted((local[a], local[b]))
+            edges.append((la, lb))
+            inside[la] += 1
+            inside[lb] += 1
+    degrees = g.degrees()
+    ball = RootedBall(
+        num_vertices=len(order),
+        edges=tuple(sorted(edges)),
+        stubs=tuple(int(degrees[u]) - inside[i] for i, u in enumerate(order)),
+        radius=r,
+        boundary_size=sum(dist[u] == r for u in order),
+    )
+    return ball, overflow
+
+
+@given(
+    degree_lists(max_n=12, max_degree=5),
+    st.integers(0, 3),
+    st.integers(1, 14),
+    st.integers(0, 2**32 - 1),
+)
+def test_extract_ball_matches_edge_list_rebuild(degrees, r, cap, seed):
+    # few vertices of degree up to 5 make self-loops and multi-edges common
+    g = pair_half_edges(DegreeSequence(np.array(degrees)), np.random.default_rng(seed))
+    for v in range(g.n):
+        assert extract_ball(g, v, r, cap) == ball_from_edge_list(g, v, r, cap)
+
+
+def test_extract_ball_keeps_loops_and_multi_edges():
+    # vertex 0: a self-loop and a double edge to 1; vertex 1: one more edge to 2
+    g = graph_from([4, 3, 1], [1, 0, 4, 5, 2, 3, 7, 6])
+    ball, overflow = extract_ball(g, 0, 2)
+    assert not overflow
+    assert ball.edges == ((0, 0), (0, 1), (0, 1), (1, 2))
+    assert ball.stubs == (0, 0, 0)
+    assert extract_ball(g, 0, 2) == ball_from_edge_list(g, 0, 2, 10)
+
+
 def test_empirical_distribution_perfect_matching():
     seq = DegreeSequence(np.ones(50, dtype=np.int64))
     g = pair_half_edges(seq, np.random.default_rng(5))
