@@ -28,7 +28,6 @@ from .degree_model import (
     DegreeSequence,
     Pmf,
     empirical_distribution,
-    regularity_report,
     sample_iid_degrees,
 )
 from .distances import sample_distances, scaling_report
@@ -96,7 +95,6 @@ __all__ = [
     "estimate_cond_limit",
     "giant_statistics",
     "pair_half_edges",
-    "regularity_report",
     "restricted_ball_distribution",
     "reuse_bounds",
     "sample_distances",

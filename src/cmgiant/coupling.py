@@ -19,7 +19,6 @@ independent because every branching draw is a fresh uniform label.
 """
 from __future__ import annotations
 
-import json
 from collections import deque
 from dataclasses import dataclass
 
@@ -66,38 +65,6 @@ class CouplingTrace:
     @property
     def bp_total(self) -> int:
         return sum(self.bp_generation_sizes) + self.bp_next_partial
-
-    def to_json_lines(self) -> str:
-        header = {
-            "root": self.root,
-            "budget": self.budget,
-            "first_divergence": self.first_divergence,
-            "graph_generation_sizes": list(self.graph_generation_sizes),
-            "graph_complete_through": self.graph_complete_through,
-            "bp_generation_sizes": list(self.bp_generation_sizes),
-            "bp_next_partial": self.bp_next_partial,
-            "bp_pending": self.bp_pending,
-            "graph_vertices": self.graph_vertices,
-            "bp_total": self.bp_total,
-            "half_edge_reuses": self.half_edge_reuses,
-            "vertex_reuses": self.vertex_reuses,
-            "exhausted": self.exhausted,
-            "steps": len(self.steps),
-        }
-        lines = [json.dumps(header, sort_keys=True)]
-        for i, s in enumerate(self.steps):
-            lines.append(
-                json.dumps(
-                    {
-                        "step": i,
-                        "event": s.event,
-                        "graph_children": s.graph_children,
-                        "bp_children": s.bp_children,
-                    },
-                    sort_keys=True,
-                )
-            )
-        return "\n".join(lines) + "\n"
 
 
 class _RootState:

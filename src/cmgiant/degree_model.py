@@ -7,10 +7,9 @@ distribution used by the branching-process side of the library.
 """
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Optional
+from typing import Mapping
 
 import numpy as np
 
@@ -84,25 +83,6 @@ class Pmf:
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         return rng.choice(np.array(self.support), size=n, p=np.array(self.probabilities))
 
-    def save_csv(self, path: str | Path) -> None:
-        """Write the pmf as a two-column CSV (k, p_k)."""
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["k", "p_k"])
-            for k, p in zip(self.support, self.probabilities):
-                writer.writerow([k, repr(p)])
-
-    @classmethod
-    def load_csv(cls, path: str | Path) -> "Pmf":
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-        if rows and rows[0] and rows[0][0] == "k":
-            rows = rows[1:]
-        return cls(
-            tuple(int(row[0]) for row in rows),
-            tuple(float(row[1]) for row in rows),
-        )
-
 
 @dataclass(frozen=True)
 class DegreeSequence:
@@ -146,16 +126,6 @@ class DegreeSequence:
         return cls(np.array(values, dtype=np.int64))
 
 
-@dataclass(frozen=True)
-class RegularityReport:
-    """How close an empirical degree sequence sits to its limit law."""
-
-    sup_cdf_distance: float
-    mean_gap: float
-    second_moment_gap: Optional[float]
-    d_max: int
-
-
 def sample_iid_degrees(dist: Pmf, n: int, rng: np.random.Generator) -> DegreeSequence:
     """Draw n i.i.d. degrees from dist, fixing parity if the total is odd.
 
@@ -183,23 +153,3 @@ def empirical_distribution(seq: DegreeSequence) -> Pmf:
     n = seq.n
     return Pmf(tuple(int(v) for v in values), tuple(c / n for c in counts.tolist()))
 
-
-def regularity_report(seq: DegreeSequence, limit: Pmf) -> RegularityReport:
-    """Distances between the empirical degree law of seq and a limit pmf.
-
-    Returns the sup distance between the two CDFs, the absolute gaps of the
-    first two moments, and the maximum degree. The second-moment gap is None
-    when the limit's second moment diverges; finite-support pmfs always have
-    one, so the field is populated for every Pmf this module can build.
-    """
-    emp = empirical_distribution(seq)
-    points = sorted(set(emp.support) | set(limit.support))
-    sup = max(abs(emp.cdf(x) - limit.cdf(x)) for x in points)
-    mean_gap = abs(emp.mean() - limit.mean())
-    second_gap: Optional[float] = abs(emp.second_moment() - limit.second_moment())
-    return RegularityReport(
-        sup_cdf_distance=float(sup),
-        mean_gap=float(mean_gap),
-        second_moment_gap=second_gap,
-        d_max=seq.max_degree,
-    )

@@ -1,15 +1,19 @@
 """Reproducible experiment runner and command-line entry point.
 
-Each experiment builds graphs for every (n, seed) pair in the config,
-computes one flat record of statistics per pair, and writes three files to
-the output directory: results.jsonl (one JSON record per line, sorted by
-(n, seed)), summary.csv (mean and sample stddev per n, with theoretical
-columns where a closed form exists), and manifest.json (config hash, seed
-list, library version, and the offspring law used, so a run can be
-reproduced bit for bit). The distances experiment additionally writes one
-histogram CSV per run.
+Each experiment is one REGISTRY entry: its per-(n, seed) record, its
+summary's theory columns, an optional writer of extra files, and the
+requirements on the config that config_from_dict checks before any work.
+Parsing builds the degree law (the pmf, or the empirical law of a sequence
+file read once) and its offspring spec, which travel with the config; each
+(n, seed) Job builds its degrees, graph, components and giant statistics
+lazily, at most once. A run writes results.jsonl (records sorted by
+(n, seed)), summary.csv (mean and sample stddev per n, then the theory
+columns) and manifest.json (config hash, seeds, library version and
+offspring law, so a run can be reproduced bit for bit); distances adds one
+histogram CSV per run. Records look library functions up in this module's
+namespace when called, so a function replaced here is the one that runs.
 
-Randomness discipline: every worker derives its generators from
+Randomness discipline: every job derives its generators from
 numpy.random.SeedSequence(seed, spawn_key=(purpose,)) with a fixed integer
 per purpose (0 degrees, 1 pairing, 2 analysis, 3 branching-process
 sampling; necessity_demo keys its two halves as (purpose, half)). Records
@@ -25,20 +29,25 @@ import json
 import math
 import os
 import sys
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
 from . import __version__
 from .components import (
+    ComponentSummary,
+    GiantStatistics,
     boundary_pair_fraction,
     component_decomposition,
     disconnected_pair_fraction,
     giant_statistics,
     sum_squares_ratio,
 )
-from .coupling import coupled_exploration
+from .coupling import coupled_exploration, reuse_bounds
 from .degree_model import DegreeSequence, Pmf, empirical_distribution, sample_iid_degrees
 from .distances import sample_distances, scaling_report
 from .graph_build import (
@@ -54,26 +63,7 @@ from .local_limit import (
     build_offspring_spec,
     theoretical_giant,
 )
-from .neighborhoods import (
-    RootedBall,
-    bp_ball_distribution,
-    canonical_code,
-    empirical_ball_distribution,
-    restricted_ball_distribution,
-    tv_distance,
-)
-
-EXPERIMENTS = (
-    "giant",
-    "structure",
-    "almost_local",
-    "necessity_demo",
-    "local_conv",
-    "coupling",
-    "distances",
-    "p2_demo",
-    "truncation",
-)
+from .neighborhoods import bp_ball_distribution, empirical_ball_distribution, tv_distance
 
 STREAM_DEGREES = 0
 STREAM_PAIRING = 1
@@ -89,6 +79,10 @@ class ConfigError(ValueError):
 
 class InvariantError(RuntimeError):
     """An internal invariant of an experiment failed; the run exits with code 1."""
+
+
+# the config key of each field whose name differs from it
+_CONFIG_KEY = {"sizes": "n", "k_values": "k", "r_values": "r"}
 
 
 @dataclass(frozen=True)
@@ -107,46 +101,280 @@ class ExperimentConfig:
     pairs: int = 1000
     bp_samples: int = 100000
     out_dir: str = "cmgiant_out"
-    raw: dict = field(default_factory=dict, compare=False)
+    # Built once at parse time, outside the config's identity: the degree law
+    # (the pmf, or the empirical law of the loaded sequence, which every job
+    # then uses as its degrees) and its offspring spec (None for all-degree-2).
+    law: Pmf = field(kw_only=True, compare=False, repr=False)
+    sequence: DegreeSequence | None = field(kw_only=True, compare=False, repr=False)
+    spec: OffspringSpec | None = field(kw_only=True, compare=False, repr=False)
 
     def sha256(self) -> str:
-        payload = json.dumps(self.canonical_dict(), sort_keys=True).encode()
+        """Hash of every config key but out_dir, which is presentation."""
+        canonical = {
+            _CONFIG_KEY.get(f.name, f.name): getattr(self, f.name)
+            for f in fields(self)
+            if f.compare and f.name != "out_dir"
+        }
+        canonical["pmf"] = {str(k): v for k, v in self.pmf.items()} if self.pmf else None
+        payload = json.dumps(canonical, sort_keys=True).encode()
         return hashlib.sha256(payload).hexdigest()
 
-    def canonical_dict(self) -> dict:
-        return {
-            "experiment": self.experiment,
-            "pmf": {str(k): v for k, v in (self.pmf or {}).items()} or None,
-            "sequence_path": self.sequence_path,
-            "n": list(self.sizes),
-            "seeds": list(self.seeds),
-            "k": list(self.k_values),
-            "r": list(self.r_values),
-            "b": self.b,
-            "alpha": self.alpha,
-            "delta": self.delta,
-            "m_exponent": self.m_exponent,
-            "pairs": self.pairs,
-            "bp_samples": self.bp_samples,
-        }
+
+def derive_rng(seed: int, purpose: int, sub: int | None = None) -> np.random.Generator:
+    """One documented stream per (seed, purpose); sub splits within a purpose."""
+    key = (purpose,) if sub is None else (purpose, sub)
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
 
 
-_KNOWN_KEYS = {
-    "experiment",
-    "pmf",
-    "sequence_path",
-    "n",
-    "seeds",
-    "k",
-    "r",
-    "b",
-    "alpha",
-    "delta",
-    "m_exponent",
-    "pairs",
-    "bp_samples",
-    "out_dir",
+@dataclass
+class Job:
+    """One (n, seed) pair of a run; builds each shared object at most once."""
+
+    cfg: ExperimentConfig
+    n: int
+    seed: int
+
+    @cached_property
+    def degrees(self) -> DegreeSequence:
+        if self.cfg.sequence is not None:
+            return self.cfg.sequence
+        return sample_iid_degrees(self.cfg.law, self.n, derive_rng(self.seed, STREAM_DEGREES))
+
+    @cached_property
+    def graph(self) -> HalfEdgeGraph:
+        return pair_half_edges(self.degrees, derive_rng(self.seed, STREAM_PAIRING))
+
+    @cached_property
+    def components(self) -> ComponentSummary:
+        return component_decomposition(self.graph)
+
+    @cached_property
+    def giant(self) -> GiantStatistics:
+        return giant_statistics(self.components, self.graph.n)
+
+
+def _largest_two(job: Job) -> dict:
+    return {"gmax_frac": job.giant.gmax_frac, "second_frac": job.giant.second_frac}
+
+
+def _giant(job: Job) -> dict:
+    record = {**_largest_two(job), "edge_frac": job.giant.edge_frac}
+    for k in job.cfg.law.support:
+        record[f"v{k}_frac"] = job.giant.vk_frac.get(k, 0.0)
+    return record
+
+
+def _structure(job: Job) -> dict:
+    ss = sum_squares_ratio(job.components, job.cfg.k_values[0], job.graph.n)
+    return {**_largest_two(job), "sum_sq_all": ss.all_clusters, "sum_sq_large": ss.large_only}
+
+
+def _pair_fractions(job: Job) -> dict:
+    g, cs = job.graph, job.components
+    record = {"gmax_frac": job.giant.gmax_frac}
+    for k in job.cfg.k_values:
+        record[f"dpf_k{k}"] = disconnected_pair_fraction(cs, k, g.n)
+    for r in job.cfg.r_values:
+        record[f"bpf_r{r}"] = boundary_pair_fraction(g, r)
+    return record
+
+
+def _necessity_demo(job: Job) -> dict:
+    # the graph is the disjoint union of two independent halves
+    halves = []
+    for i in range(2):
+        rng = derive_rng(job.seed, STREAM_DEGREES, i)
+        seq = sample_iid_degrees(job.cfg.law, job.n // 2, rng)
+        halves.append(pair_half_edges(seq, derive_rng(job.seed, STREAM_PAIRING, i)))
+    job.graph = disjoint_union(halves[0], halves[1])
+    return _pair_fractions(job)
+
+
+def _local_conv(job: Job) -> dict:
+    cfg = job.cfg
+    record = {}
+    for r in cfg.r_values:
+        emp = empirical_ball_distribution(job.graph, r)
+        bp = bp_ball_distribution(
+            cfg.spec, r, cfg.bp_samples, derive_rng(job.seed, STREAM_BP, r)
+        )
+        record[f"tv_r{r}"] = tv_distance(emp, bp)
+    # the giant-restricted radius-0 ball law at the degree-1 ball: a radius-0
+    # ball records only its root's degree
+    record["giant_deg1_mass"] = job.giant.vk_frac.get(1, 0.0)
+    return record
+
+
+def _m_n(cfg: ExperimentConfig, n: int) -> int:
+    return max(1, int(math.floor(n**cfg.m_exponent)))
+
+
+def _coupling(job: Job) -> dict:
+    seq = job.degrees
+    m_n = _m_n(job.cfg, job.n)
+    rng = derive_rng(job.seed, STREAM_ANALYSIS)
+    root = int(rng.integers(0, seq.n))
+    trace = coupled_exploration(seq, root, m_n, rng)
+    return {
+        "m_n": m_n,
+        "half_edge_reuses": trace.half_edge_reuses,
+        "vertex_reuses": trace.vertex_reuses,
+        "diverged": int(trace.first_divergence is not None),
+        "steps": len(trace.steps),
+        "graph_vertices": trace.graph_vertices,
+    }
+
+
+def _distances(job: Job) -> dict:
+    g = job.graph
+    ds = sample_distances(g, job.cfg.pairs, derive_rng(job.seed, STREAM_ANALYSIS))
+    rep = scaling_report(ds, g.n, job.cfg.spec.nu)
+    return {
+        "mean_finite": rep.mean_finite,
+        "mean_ratio": rep.mean_ratio,
+        "median_ratio": rep.median_ratio,
+        "finite_fraction": rep.finite_fraction,
+        "_histogram": sorted(Counter(ds.finite_distances).items()),
+    }
+
+
+def _p2_demo(job: Job) -> dict:
+    return {**_largest_two(job), "num_clusters": len(job.components.sizes)}
+
+
+def _truncation(job: Job) -> dict:
+    cfg, seq = job.cfg, job.degrees
+    emap = truncate_explode(seq, cfg.b)
+    g, gp = coupled_pairing(emap, derive_rng(job.seed, STREAM_PAIRING))
+    truncated = emap.truncated_degrees.degrees
+    cap_ok = bool(
+        np.all(truncated[: seq.n] == np.minimum(seq.degrees, cfg.b))
+        and np.all(truncated[seq.n :] == 1)
+    )
+    total_ok = int(truncated.sum()) == seq.total_degree
+    cs = component_decomposition(g)
+    csp = component_decomposition(gp)
+    rng = derive_rng(job.seed, STREAM_ANALYSIS)
+    u = rng.integers(0, seq.n, size=cfg.pairs)
+    v = rng.integers(0, seq.n, size=cfg.pairs)
+    violations = int(
+        np.sum((csp.labels[u] == csp.labels[v]) & (cs.labels[u] != cs.labels[v]))
+    )
+    for ok, message in (
+        (cap_ok, "truncated degrees must be min(d, b) plus degree-1 spawns"),
+        (total_ok, "truncation must preserve the total degree"),
+        (violations == 0, "connectivity in the truncated graph must imply it originally"),
+    ):
+        if not ok:
+            raise InvariantError(message)
+    return {
+        "n_exploded": emap.exploded_n - emap.original_n,
+        "connectivity_violations": violations,
+        "gmax_frac": giant_statistics(cs, g.n).gmax_frac,
+        "truncated_gmax_frac": giant_statistics(csp, gp.n).gmax_frac,
+    }
+
+
+def _giant_theory(cfg: ExperimentConfig, n: int) -> dict[str, float]:
+    limits = theoretical_giant(cfg.spec)
+    cols = {"theory_zeta": limits.zeta, "theory_edge": limits.edge_limit}
+    for k in cfg.law.support:
+        cols[f"theory_v{k}"] = limits.vk_limit.get(k, 0.0)
+    return cols
+
+
+def _zeta_sq_theory(cfg: ExperimentConfig, n: int) -> dict[str, float]:
+    return {"theory_zeta_sq": theoretical_giant(cfg.spec).zeta ** 2}
+
+
+def _half_zeta_theory(cfg: ExperimentConfig, n: int) -> dict[str, float]:
+    return {"theory_half_zeta": theoretical_giant(cfg.spec).zeta / 2.0}
+
+
+def _giant_deg1_theory(cfg: ExperimentConfig, n: int) -> dict[str, float]:
+    return {"theory_giant_deg1": theoretical_giant(cfg.spec).vk_limit.get(1, 0.0)}
+
+
+def _coupling_theory(cfg: ExperimentConfig, n: int) -> dict[str, float]:
+    root = cfg.spec.root_pmf
+    bounds = reuse_bounds(n, n * root.mean(), max(root.support), _m_n(cfg, n))
+    return {"theory_he_bound": bounds.half_edge, "theory_vertex_bound": bounds.vertex}
+
+
+def _distances_theory(cfg: ExperimentConfig, n: int) -> dict[str, float]:
+    return {"theory_ref": math.log(n) / math.log(cfg.spec.nu), **_zeta_sq_theory(cfg, n)}
+
+
+def _write_histograms(cfg: ExperimentConfig, rows: list, written: list[str]) -> None:
+    nu = cfg.spec.nu
+    for n, seed, record in rows:
+        path = os.path.join(cfg.out_dir, f"distances_hist_n{n}_seed{seed}.csv")
+        written.append(path)
+        with open(path, "w", newline="") as fh:
+            fh.write(f"# n={n} nu={nu} seed={seed}\n")
+            writer = csv.writer(fh)
+            writer.writerow(["distance", "count"])
+            writer.writerows([str(d), str(c)] for d, c in record["_histogram"])
+
+
+def _law_field(cfg: ExperimentConfig) -> str:
+    return "'pmf'" if cfg.sequence_path is None else "'sequence_path'"
+
+
+def _non_degenerate(cfg: ExperimentConfig) -> str | None:
+    if cfg.spec is None:
+        return f"field {_law_field(cfg)}: {cfg.experiment} needs a non-degenerate degree law"
+    return None
+
+
+def _supercritical(cfg: ExperimentConfig) -> str | None:
+    if cfg.spec is None or cfg.spec.nu <= 1.0:
+        return f"field {_law_field(cfg)}: {cfg.experiment} needs a supercritical degree law"
+    return None
+
+
+def _two_halves(cfg: ExperimentConfig) -> str | None:
+    if cfg.sequence is not None:
+        return "field 'sequence_path': necessity_demo samples its two halves from 'pmf'"
+    if min(cfg.sizes) < 2:
+        return "field 'n': necessity_demo needs n >= 2 to split in half"
+    return None
+
+
+@dataclass(frozen=True)
+class Experiment:
+    """One registry entry.
+
+    record(job) returns one (n, seed) record; keys starting with "_" stay
+    out of results.jsonl and summary.csv. theory(cfg, n) runs only when the
+    law has an offspring spec. extra_files(cfg, rows, written) appends each
+    path to written before opening it. requires(cfg) returns a message
+    naming the offending field, or None.
+    """
+
+    record: Callable[[Job], dict]
+    theory: Callable[[ExperimentConfig, int], dict[str, float]] | None = None
+    extra_files: Callable[[ExperimentConfig, list, list[str]], None] | None = None
+    requires: Callable[[ExperimentConfig], str | None] | None = None
+
+
+REGISTRY = {
+    "giant": Experiment(_giant, _giant_theory),
+    "structure": Experiment(_structure, _zeta_sq_theory),
+    "almost_local": Experiment(_pair_fractions),
+    "necessity_demo": Experiment(_necessity_demo, _half_zeta_theory, requires=_two_halves),
+    "local_conv": Experiment(_local_conv, _giant_deg1_theory, requires=_non_degenerate),
+    "coupling": Experiment(_coupling, _coupling_theory),
+    "distances": Experiment(
+        _distances, _distances_theory, _write_histograms, requires=_supercritical
+    ),
+    "p2_demo": Experiment(_p2_demo),
+    "truncation": Experiment(_truncation),
 }
+
+EXPERIMENTS = tuple(REGISTRY)
+
+_KNOWN_KEYS = {_CONFIG_KEY.get(f.name, f.name) for f in fields(ExperimentConfig) if f.compare}
 
 _DEFAULT_PMF = {1: 0.5, 3: 0.5}
 
@@ -194,16 +422,11 @@ def _parse_float(data: dict, name: str, default: float) -> float:
     return float(value)
 
 
-def config_from_dict(data: dict, source: str = "<config>") -> ExperimentConfig:
-    unknown = set(data) - _KNOWN_KEYS
-    if unknown:
-        raise ConfigError(f"{source}: unknown fields {sorted(unknown)}")
-    experiment = data.get("experiment")
-    if experiment not in EXPERIMENTS:
-        raise ConfigError(
-            f"{source}: field 'experiment' must be one of {', '.join(EXPERIMENTS)}"
-        )
-    pmf = None
+def _parse_law(
+    data: dict, experiment: str, source: str
+) -> tuple[dict[int, float] | None, Pmf, DegreeSequence | None, OffspringSpec | None]:
+    """The parsed pmf field (None for a sequence file), the degree law it
+    sets, the loaded sequence (or None) and the law's offspring spec."""
     sequence_path = data.get("sequence_path")
     if sequence_path is not None:
         if not isinstance(sequence_path, str):
@@ -212,31 +435,49 @@ def config_from_dict(data: dict, source: str = "<config>") -> ExperimentConfig:
             raise ConfigError(
                 f"{source}: field 'sequence_path': no such file {sequence_path!r}"
             )
+        name, raw_pmf = "sequence_path", None
     else:
         fallback = {2: 1.0} if experiment == "p2_demo" else _DEFAULT_PMF
         raw_pmf = data.get("pmf", fallback)
         if not isinstance(raw_pmf, dict) or not raw_pmf:
             raise ConfigError(f"{source}: field 'pmf' must be a non-empty object")
+        name = "pmf"
+    try:
+        if raw_pmf is None:
+            pmf, sequence = None, DegreeSequence.load(sequence_path)
+            dist = empirical_distribution(sequence)
+        else:
+            pmf, sequence = {int(k): float(v) for k, v in raw_pmf.items()}, None
+            dist = Pmf.from_dict(pmf)
         try:
-            pmf = {int(k): float(v) for k, v in raw_pmf.items()}
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"{source}: field 'pmf': {exc}") from exc
-        try:
-            Pmf.from_dict(pmf)
-        except ValueError as exc:
-            raise ConfigError(f"{source}: field 'pmf': {exc}") from exc
-    if sequence_path is not None:
-        seq = DegreeSequence.load(sequence_path)
-        sizes = (seq.n,)
+            spec = build_offspring_spec(dist)
+        except DegenerateDegreeTwoError:
+            spec = None
+    except (OSError, TypeError, ValueError) as exc:
+        raise ConfigError(f"{source}: field {name!r}: {exc}") from exc
+    return pmf, dist, sequence, spec
+
+
+def config_from_dict(data: dict, source: str = "<config>") -> ExperimentConfig:
+    unknown = set(data) - _KNOWN_KEYS
+    if unknown:
+        raise ConfigError(f"{source}: unknown fields {sorted(unknown)}")
+    experiment = data.get("experiment")
+    if experiment not in REGISTRY:
+        raise ConfigError(
+            f"{source}: field 'experiment' must be one of {', '.join(EXPERIMENTS)}"
+        )
+    pmf, law, sequence, spec = _parse_law(data, experiment, source)
+    if sequence is not None:
+        sizes = (sequence.n,)
     else:
         sizes = _parse_int_list(data.get("n", [10000]), "n")
-    seeds = _parse_seeds(data.get("seeds", 5))
     cfg = ExperimentConfig(
         experiment=experiment,
         pmf=pmf,
-        sequence_path=sequence_path,
+        sequence_path=data.get("sequence_path"),
         sizes=sizes,
-        seeds=seeds,
+        seeds=_parse_seeds(data.get("seeds", 5)),
         k_values=_parse_int_list(data.get("k", [50]), "k"),
         r_values=_parse_int_list(data.get("r", [2]), "r"),
         b=_parse_int(data, "b", 2),
@@ -246,14 +487,26 @@ def config_from_dict(data: dict, source: str = "<config>") -> ExperimentConfig:
         pairs=_parse_int(data, "pairs", 1000),
         bp_samples=_parse_int(data, "bp_samples", 100000),
         out_dir=str(data.get("out_dir", "cmgiant_out")),
-        raw=dict(data),
+        law=law,
+        sequence=sequence,
+        spec=spec,
     )
-    if not 0 < cfg.m_exponent <= 1:
-        raise ConfigError(f"{source}: field 'm_exponent' must lie in (0, 1]")
+    for ok, message in (
+        (0 < cfg.m_exponent <= 1, "field 'm_exponent' must lie in (0, 1]"),
+        (0.5 < cfg.alpha < 1, "field 'alpha' must lie in (1/2, 1)"),
+        (cfg.delta > 0, "field 'delta' must be positive"),
+    ):
+        if not ok:
+            raise ConfigError(f"{source}: {message}")
+    requires = REGISTRY[experiment].requires
+    problem = requires(cfg) if requires else None
+    if problem:
+        raise ConfigError(f"{source}: {problem}")
     return cfg
 
 
-def load_config(path: str) -> ExperimentConfig:
+def load_config(path: str) -> dict:
+    """The JSON object in a config file; config_from_dict validates it."""
     try:
         with open(path) as fh:
             data = json.load(fh)
@@ -265,267 +518,19 @@ def load_config(path: str) -> ExperimentConfig:
         ) from exc
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: top level must be a JSON object")
-    return config_from_dict(data, source=path)
-
-
-def derive_rng(seed: int, purpose: int, sub: int | None = None) -> np.random.Generator:
-    """One documented stream per (seed, purpose); sub splits within a purpose."""
-    key = (purpose,) if sub is None else (purpose, sub)
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
-
-
-def _degree_sequence(cfg: ExperimentConfig, n: int, seed: int) -> DegreeSequence:
-    if cfg.sequence_path is not None:
-        return DegreeSequence.load(cfg.sequence_path)
-    dist = Pmf.from_dict(cfg.pmf)
-    return sample_iid_degrees(dist, n, derive_rng(seed, STREAM_DEGREES))
-
-
-def _build(cfg: ExperimentConfig, n: int, seed: int) -> tuple[DegreeSequence, HalfEdgeGraph]:
-    seq = _degree_sequence(cfg, n, seed)
-    g = pair_half_edges(seq, derive_rng(seed, STREAM_PAIRING))
-    return seq, g
-
-
-def _spec_or_none(cfg: ExperimentConfig) -> OffspringSpec | None:
-    if cfg.pmf is not None:
-        dist = Pmf.from_dict(cfg.pmf)
-    else:
-        dist = empirical_distribution(DegreeSequence.load(cfg.sequence_path))
-    try:
-        return build_offspring_spec(dist)
-    except DegenerateDegreeTwoError:
-        return None
-
-
-def _run_giant(cfg: ExperimentConfig, n: int, seed: int) -> dict:
-    _, g = _build(cfg, n, seed)
-    cs = component_decomposition(g)
-    gs = giant_statistics(cs, g.n)
-    record = {
-        "gmax_frac": gs.gmax_frac,
-        "second_frac": gs.second_frac,
-        "edge_frac": gs.edge_frac,
-    }
-    for k in _support_of(cfg):
-        record[f"v{k}_frac"] = gs.vk_frac.get(k, 0.0)
-    return record
-
-
-def _run_structure(cfg: ExperimentConfig, n: int, seed: int) -> dict:
-    _, g = _build(cfg, n, seed)
-    cs = component_decomposition(g)
-    gs = giant_statistics(cs, g.n)
-    ss = sum_squares_ratio(cs, cfg.k_values[0], g.n)
-    return {
-        "gmax_frac": gs.gmax_frac,
-        "second_frac": gs.second_frac,
-        "sum_sq_all": ss.all_clusters,
-        "sum_sq_large": ss.large_only,
-    }
-
-
-def _run_almost_local(cfg: ExperimentConfig, n: int, seed: int) -> dict:
-    _, g = _build(cfg, n, seed)
-    cs = component_decomposition(g)
-    record = {"gmax_frac": giant_statistics(cs, g.n).gmax_frac}
-    for k in cfg.k_values:
-        record[f"dpf_k{k}"] = disconnected_pair_fraction(cs, k, g.n)
-    for r in cfg.r_values:
-        record[f"bpf_r{r}"] = boundary_pair_fraction(g, r)
-    return record
-
-
-def _run_necessity_demo(cfg: ExperimentConfig, n: int, seed: int) -> dict:
-    half = n // 2
-    if half < 1:
-        raise ConfigError("necessity_demo needs n >= 2 to split in half")
-    dist = Pmf.from_dict(cfg.pmf)
-    graphs = []
-    for i in range(2):
-        seq = sample_iid_degrees(dist, half, derive_rng(seed, STREAM_DEGREES, i))
-        graphs.append(pair_half_edges(seq, derive_rng(seed, STREAM_PAIRING, i)))
-    g = disjoint_union(graphs[0], graphs[1])
-    cs = component_decomposition(g)
-    record = {"gmax_frac": giant_statistics(cs, g.n).gmax_frac}
-    for k in cfg.k_values:
-        record[f"dpf_k{k}"] = disconnected_pair_fraction(cs, k, g.n)
-    for r in cfg.r_values:
-        record[f"bpf_r{r}"] = boundary_pair_fraction(g, r)
-    return record
-
-
-_DEG1_BALL = RootedBall(
-    num_vertices=1, edges=(), stubs=(1,), radius=0, boundary_size=1
-)
-
-
-def _run_local_conv(cfg: ExperimentConfig, n: int, seed: int) -> dict:
-    spec = _spec_or_none(cfg)
-    if spec is None:
-        raise ConfigError("local_conv needs a non-degenerate degree law")
-    _, g = _build(cfg, n, seed)
-    record = {}
-    for r in cfg.r_values:
-        emp = empirical_ball_distribution(g, r)
-        bp = bp_ball_distribution(
-            spec, r, cfg.bp_samples, derive_rng(seed, STREAM_BP, r)
-        )
-        record[f"tv_r{r}"] = tv_distance(emp, bp)
-    cs = component_decomposition(g)
-    restricted = restricted_ball_distribution(g, 0, cs)
-    deg1 = canonical_code(_DEG1_BALL)
-    record["giant_deg1_mass"] = restricted.giant.get(deg1, 0.0)
-    return record
-
-
-def _run_coupling(cfg: ExperimentConfig, n: int, seed: int) -> dict:
-    seq = _degree_sequence(cfg, n, seed)
-    m_n = max(1, int(math.floor(n**cfg.m_exponent)))
-    rng = derive_rng(seed, STREAM_ANALYSIS)
-    root = int(rng.integers(0, seq.n))
-    trace = coupled_exploration(seq, root, m_n, rng)
-    return {
-        "m_n": m_n,
-        "half_edge_reuses": trace.half_edge_reuses,
-        "vertex_reuses": trace.vertex_reuses,
-        "diverged": int(trace.first_divergence is not None),
-        "steps": len(trace.steps),
-        "graph_vertices": trace.graph_vertices,
-    }
-
-
-def _run_distances(cfg: ExperimentConfig, n: int, seed: int) -> dict:
-    spec = _spec_or_none(cfg)
-    if spec is None or spec.nu <= 1.0:
-        raise ConfigError("distances needs a supercritical degree law")
-    _, g = _build(cfg, n, seed)
-    ds = sample_distances(g, cfg.pairs, derive_rng(seed, STREAM_ANALYSIS))
-    rep = scaling_report(ds, g.n, spec.nu)
-    hist: dict[int, int] = {}
-    for d in ds.finite_distances:
-        hist[d] = hist.get(d, 0) + 1
-    return {
-        "mean_finite": rep.mean_finite,
-        "mean_ratio": rep.mean_ratio,
-        "median_ratio": rep.median_ratio,
-        "finite_fraction": rep.finite_fraction,
-        "_histogram": sorted(hist.items()),
-        "_nu": spec.nu,
-    }
-
-
-def _run_p2_demo(cfg: ExperimentConfig, n: int, seed: int) -> dict:
-    _, g = _build(cfg, n, seed)
-    cs = component_decomposition(g)
-    gs = giant_statistics(cs, g.n)
-    return {
-        "gmax_frac": gs.gmax_frac,
-        "second_frac": gs.second_frac,
-        "num_clusters": len(cs.sizes),
-    }
-
-
-def _run_truncation(cfg: ExperimentConfig, n: int, seed: int) -> dict:
-    seq = _degree_sequence(cfg, n, seed)
-    emap = truncate_explode(seq, cfg.b)
-    g, gp = coupled_pairing(emap, derive_rng(seed, STREAM_PAIRING))
-    truncated = emap.truncated_degrees.degrees
-    cap_ok = bool(
-        np.all(truncated[: seq.n] == np.minimum(seq.degrees, cfg.b))
-        and np.all(truncated[seq.n :] == 1)
-    )
-    total_ok = int(truncated.sum()) == seq.total_degree
-    cs = component_decomposition(g)
-    csp = component_decomposition(gp)
-    rng = derive_rng(seed, STREAM_ANALYSIS)
-    u = rng.integers(0, seq.n, size=cfg.pairs)
-    v = rng.integers(0, seq.n, size=cfg.pairs)
-    violations = int(
-        np.sum((csp.labels[u] == csp.labels[v]) & (cs.labels[u] != cs.labels[v]))
-    )
-    for ok, message in (
-        (cap_ok, "truncated degrees must be min(d, b) plus degree-1 spawns"),
-        (total_ok, "truncation must preserve the total degree"),
-        (violations == 0, "connectivity in the truncated graph must imply it originally"),
-    ):
-        if not ok:
-            raise InvariantError(message)
-    gs = giant_statistics(cs, g.n)
-    gsp = giant_statistics(csp, gp.n)
-    return {
-        "n_exploded": emap.exploded_n - emap.original_n,
-        "connectivity_violations": violations,
-        "gmax_frac": gs.gmax_frac,
-        "truncated_gmax_frac": gsp.gmax_frac,
-    }
-
-
-_RUNNERS = {
-    "giant": _run_giant,
-    "structure": _run_structure,
-    "almost_local": _run_almost_local,
-    "necessity_demo": _run_necessity_demo,
-    "local_conv": _run_local_conv,
-    "coupling": _run_coupling,
-    "distances": _run_distances,
-    "p2_demo": _run_p2_demo,
-    "truncation": _run_truncation,
-}
-
-
-def _support_of(cfg: ExperimentConfig) -> tuple[int, ...]:
-    if cfg.pmf is not None:
-        return tuple(sorted(cfg.pmf))
-    return empirical_distribution(DegreeSequence.load(cfg.sequence_path)).support
+    return data
 
 
 def _worker(args: tuple) -> tuple[int, int, dict]:
-    cfg_data, n, seed = args
-    cfg = config_from_dict(cfg_data)
-    record = _RUNNERS[cfg.experiment](cfg, n, seed)
-    return n, seed, record
+    cfg, n, seed = args
+    return n, seed, REGISTRY[cfg.experiment].record(Job(cfg, n, seed))
 
 
-def _theoretical_columns(cfg: ExperimentConfig, n: int) -> dict[str, float]:
-    spec = _spec_or_none(cfg)
-    if spec is None:
+def _theory(cfg: ExperimentConfig, n: int) -> dict[str, float]:
+    theory = REGISTRY[cfg.experiment].theory
+    if theory is None or cfg.spec is None:
         return {}
-    limits = theoretical_giant(spec)
-    if cfg.experiment == "giant":
-        cols = {"theory_zeta": limits.zeta, "theory_edge": limits.edge_limit}
-        for k in _support_of(cfg):
-            cols[f"theory_v{k}"] = limits.vk_limit.get(k, 0.0)
-        return cols
-    if cfg.experiment == "structure":
-        return {"theory_zeta_sq": limits.zeta**2}
-    if cfg.experiment == "necessity_demo":
-        return {"theory_half_zeta": limits.zeta / 2.0}
-    if cfg.experiment == "local_conv":
-        return {"theory_giant_deg1": limits.vk_limit.get(1, 0.0)}
-    if cfg.experiment == "distances":
-        if spec.nu <= 1.0:
-            return {}
-        return {
-            "theory_ref": math.log(n) / math.log(spec.nu),
-            "theory_zeta_sq": limits.zeta**2,
-        }
-    if cfg.experiment == "coupling":
-        mean_degree = spec.root_pmf.mean()
-        d_max = max(spec.root_pmf.support)
-        m_n = max(1, int(math.floor(n**cfg.m_exponent)))
-        ell = n * mean_degree
-        return {
-            "theory_he_bound": m_n * m_n / ell,
-            "theory_vertex_bound": m_n * m_n * d_max / ell,
-        }
-    return {}
-
-
-def _format_value(x) -> str:
-    if isinstance(x, float):
-        return repr(x)
-    return str(x)
+    return theory(cfg, n)
 
 
 def _write_summary(path: str, cfg: ExperimentConfig, rows: list[tuple[int, int, dict]]) -> None:
@@ -537,7 +542,7 @@ def _write_summary(path: str, cfg: ExperimentConfig, rows: list[tuple[int, int, 
         for name in rows[0][2]
         if not name.startswith("_") and isinstance(rows[0][2][name], (int, float))
     )
-    theory_names = sorted(_theoretical_columns(cfg, cfg.sizes[0]))
+    theory_names = sorted(_theory(cfg, cfg.sizes[0]))
     header = ["n", "seeds"]
     for name in metric_names:
         header += [f"{name}_mean", f"{name}_std"]
@@ -553,29 +558,19 @@ def _write_summary(path: str, cfg: ExperimentConfig, rows: list[tuple[int, int, 
                 mean = float(values.mean())
                 std = float(values.std(ddof=1)) if len(values) > 1 else 0.0
                 row += [repr(mean), repr(std)]
-            theory = _theoretical_columns(cfg, n)
-            row += [_format_value(theory[name]) for name in theory_names]
+            theory = _theory(cfg, n)
+            row += [str(theory[name]) for name in theory_names]
             writer.writerow(row)
 
 
-def _write_histogram(path: str, n: int, nu: float, seed: int, hist: list) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(f"# n={n} nu={_format_value(float(nu))} seed={seed}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["distance", "count"])
-        for d, c in hist:
-            writer.writerow([str(d), str(c)])
-
-
 def emit_manifest(cfg: ExperimentConfig, path: str) -> None:
-    spec = _spec_or_none(cfg)
     manifest = {
         "config_sha256": cfg.sha256(),
         "experiment": cfg.experiment,
         "library_version": __version__,
         "n_values": list(cfg.sizes),
         "seeds": list(cfg.seeds),
-        "offspring_spec": None if spec is None else json.loads(spec.to_json()),
+        "offspring_spec": None if cfg.spec is None else json.loads(cfg.spec.to_json()),
     }
     with open(path, "w") as fh:
         json.dump(manifest, fh, sort_keys=True, indent=2)
@@ -590,7 +585,7 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> int:
     """
     os.makedirs(cfg.out_dir, exist_ok=True)
     written: list[str] = []
-    jobs = [(cfg.raw or cfg.canonical_dict(), n, seed) for n in cfg.sizes for seed in cfg.seeds]
+    jobs = [(cfg, n, seed) for n in cfg.sizes for seed in cfg.seeds]
     try:
         if threads > 1:
             with ProcessPoolExecutor(max_workers=threads) as pool:
@@ -609,13 +604,9 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> int:
                 line = {"experiment": cfg.experiment, "n": n, "seed": seed, **public}
                 fh.write(json.dumps(line, sort_keys=True) + "\n")
 
-        if cfg.experiment == "distances":
-            for n, seed, record in rows:
-                hist_path = os.path.join(
-                    cfg.out_dir, f"distances_hist_n{n}_seed{seed}.csv"
-                )
-                written.append(hist_path)
-                _write_histogram(hist_path, n, record["_nu"], seed, record["_histogram"])
+        extra_files = REGISTRY[cfg.experiment].extra_files
+        if extra_files is not None:
+            extra_files(cfg, rows, written)
 
         summary_path = os.path.join(cfg.out_dir, "summary.csv")
         written.append(summary_path)
@@ -624,17 +615,14 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> int:
         manifest_path = os.path.join(cfg.out_dir, "manifest.json")
         written.append(manifest_path)
         emit_manifest(cfg, manifest_path)
-    except InvariantError as exc:
+    except Exception as exc:
         for path in written:
             if os.path.exists(path):
                 os.unlink(path)
+        if not isinstance(exc, InvariantError):
+            raise
         print(f"invariant failure: {exc}", file=sys.stderr)
         return 1
-    except Exception:
-        for path in written:
-            if os.path.exists(path):
-                os.unlink(path)
-        raise
     return 0
 
 
@@ -670,8 +658,9 @@ def main(argv: list[str] | None = None) -> int:
         p.add_argument("--threads", type=int, default=1, help="parallel workers")
     args = parser.parse_args(argv)
 
+    # the subcommand supplies the experiment; the config file need not repeat it
     try:
-        data = load_config(args.config).raw if args.config else {}
+        data = load_config(args.config) if args.config else {}
         cfg = config_from_dict(_apply_overrides(data, args))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -9,7 +9,6 @@ but form a single edge; parallel edges are kept.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -96,12 +95,6 @@ class HalfEdgeGraph:
                 u = int(self.owner[x])
                 v = int(self.owner[y])
                 yield (u, v) if u <= v else (v, u)
-
-    def save_edge_list(self, path: str | Path) -> None:
-        """Write the edge list as "u v" per line, self-loops as "v v"."""
-        with open(path, "w") as fh:
-            for u, v in self.edge_iter():
-                fh.write(f"{u} {v}\n")
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,6 @@ any width, always get an exact code.
 """
 from __future__ import annotations
 
-import hashlib
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -79,9 +78,6 @@ class CanonicalBall:
     @property
     def oversize(self) -> bool:
         return self.code == _OVERSIZE
-
-    def hex_digest(self) -> str:
-        return hashlib.sha1(self.code).hexdigest()[:12]
 
 
 OVERSIZE_BALL = CanonicalBall(_OVERSIZE)
@@ -429,43 +425,3 @@ def tv_distance(a: BallDistribution, b: BallDistribution) -> float:
     keys = set(a) | set(b)
     return 0.5 * math.fsum(abs(a.get(k, 0.0) - b.get(k, 0.0)) for k in keys)
 
-
-def tree_string(ball: RootedBall) -> str:
-    """Nested-parentheses rendering when the ball is a tree, else ''."""
-    n = ball.num_vertices
-    if len(ball.edges) != n - 1 or any(a == b for a, b in ball.edges):
-        return ""
-    try:
-        nbr, _, dist = _ball_structure(ball)
-    except ValueError:
-        return ""
-    children: list[list[int]] = [[] for _ in range(n)]
-    for a, b in ball.edges:
-        lo, hi = (a, b) if dist[a] < dist[b] else (b, a)
-        children[lo].append(hi)
-
-    def render(u: int) -> str:
-        inner = ",".join(sorted(render(w) for w in children[u]))
-        mark = f"+{ball.stubs[u]}" if ball.stubs[u] else ""
-        return f"({inner}){mark}"
-
-    return render(0)
-
-
-def write_distribution_csv(dist: BallDistribution, balls: dict, path) -> None:
-    """Dump a code distribution as CSV: code hash, tree string, mass.
-
-    balls maps codes to a representative RootedBall where one is known;
-    missing representatives leave the tree column empty.
-    """
-    import csv
-
-    rows = sorted(dist.items(), key=lambda kv: (-kv[1], kv[0].code))
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["code_hash", "tree", "mass"])
-        for code, mass in rows:
-            rep = balls.get(code)
-            writer.writerow(
-                [code.hex_digest(), tree_string(rep) if rep else "", repr(mass)]
-            )

@@ -1,4 +1,3 @@
-import json
 
 import numpy as np
 import pytest
@@ -214,21 +213,6 @@ def test_two_root_bp_totals_match_single_root_law():
         t = coupled_exploration(seq, r0, 30, np.random.default_rng(40000 + seed))
         singles.append(t.bp_total)
     assert stats.ks_2samp(paired, singles).pvalue > 0.001
-
-
-def test_trace_json_lines_roundtrip():
-    seq = DegreeSequence(np.array([3, 1, 3, 3, 2, 2]))
-    t = coupled_exploration(seq, 0, 6, np.random.default_rng(17))
-    lines = t.to_json_lines().splitlines()
-    header = json.loads(lines[0])
-    assert header["root"] == 0
-    assert header["budget"] == 6
-    assert header["steps"] == len(t.steps) == len(lines) - 1
-    assert header["bp_total"] == t.bp_total
-    for i, line in enumerate(lines[1:]):
-        rec = json.loads(line)
-        assert rec["step"] == i
-        assert rec["event"] in {"none", "half_edge_reuse", "vertex_reuse"}
 
 
 def test_discrepancy_estimate_trivial_sequence():

@@ -7,7 +7,6 @@ from cmgiant import (
     DegreeSequence,
     Pmf,
     empirical_distribution,
-    regularity_report,
     sample_iid_degrees,
 )
 from strategies import degree_lists, pmf_dicts
@@ -48,15 +47,6 @@ def test_pmf_dict_roundtrip():
     p = Pmf.from_dict(d)
     assert p.support == (1, 3)
     assert p.as_dict() == {1: 0.75, 3: 0.25}
-
-
-def test_pmf_csv_roundtrip(tmp_path):
-    p = Pmf.from_dict({1: 0.5, 3: 0.3, 7: 0.2})
-    path = tmp_path / "pmf.csv"
-    p.save_csv(path)
-    q = Pmf.load_csv(path)
-    assert q.support == p.support
-    assert q.probabilities == p.probabilities
 
 
 def test_degree_sequence_validation():
@@ -111,38 +101,6 @@ def test_empirical_distribution_small():
     seq = DegreeSequence(np.array([1, 2, 2, 3]))
     emp = empirical_distribution(seq)
     assert emp.as_dict() == {1: 0.25, 2: 0.5, 3: 0.25}
-
-
-def test_regularity_exact_match():
-    seq = DegreeSequence(np.array([2, 2, 2, 2]))
-    rep = regularity_report(seq, Pmf.from_dict({2: 1.0}))
-    assert rep.sup_cdf_distance == 0.0
-    assert rep.mean_gap == 0.0
-    assert rep.second_moment_gap == 0.0
-    assert rep.d_max == 2
-
-
-def test_regularity_mean_gap_one_third():
-    seq = DegreeSequence(np.array([1, 1, 3, 3, 3, 3]))
-    rep = regularity_report(seq, Pmf.from_dict({1: 0.5, 3: 0.5}))
-    assert rep.mean_gap == pytest.approx(1 / 3)
-    assert rep.sup_cdf_distance == pytest.approx(1 / 6)
-    assert rep.d_max == 3
-
-
-def test_regularity_converges_with_n():
-    # median sup-CDF distance over seeds should shrink as n grows
-    limit = Pmf.from_dict({1: 0.5, 3: 0.5})
-    medians = []
-    for n in (1000, 10000, 100000):
-        gaps = []
-        for seed in range(20):
-            rng = np.random.default_rng(seed)
-            seq = sample_iid_degrees(limit, n, rng)
-            gaps.append(regularity_report(seq, limit).sup_cdf_distance)
-        medians.append(float(np.median(gaps)))
-    assert medians[0] > medians[2]
-    assert medians[0] >= medians[1] >= medians[2]
 
 
 @given(pmf_dicts())

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -174,6 +175,91 @@ def test_reruns_are_byte_identical(tmp_path):
         assert read(os.path.join(out_a, name)) == read(os.path.join(out_b, name))
 
 
+# Every experiment at two sizes and two seeds. The digests below pin the bytes
+# these runs write with library 0.3.0: a change that alters any of them changes
+# the outputs and must say so.
+PINNED_CONFIGS = {
+    "giant": {},
+    "structure": {"k": [5]},
+    "almost_local": {"k": [5, 50], "r": [1, 2]},
+    "necessity_demo": {"k": [5, 50], "r": [1, 2]},
+    "local_conv": {"r": [1, 2], "bp_samples": 2000},
+    "coupling": {"m_exponent": 0.6},
+    "distances": {"pairs": 50},
+    "p2_demo": {},
+    "truncation": {"pmf": {"1": 0.4, "4": 0.3, "10": 0.3}, "b": 3, "pairs": 200},
+}
+
+OUTPUT_SHA256 = {
+    "giant": {
+        "manifest.json": "902a7ca9b691fe90fb2adad70f8d275e75ea706691f38b9ad6dc94da5f79c3bc",
+        "results.jsonl": "3326c1e8634be55befae8e3931171c096eae36fe163121820bacd55997833c25",
+        "summary.csv": "984cc8fedf29adc5c93af2f743a2f5e58ab287d6c90415befa2a2f0efded3692",
+    },
+    "structure": {
+        "manifest.json": "b51da5d3d60ed5ae97d2dae3c50577ece8d3019b77c103a7d850c2eeb48624bc",
+        "results.jsonl": "50b1295429ca0c1c43ec1f4c44f894022d1334afb09829dc1536f4bec0f8779c",
+        "summary.csv": "f93d87a717fef963a2f00c87ee6e29e5805217504ac6c0dd04018e5417328d8a",
+    },
+    "almost_local": {
+        "manifest.json": "f6bc716a7c0ae39c2b2edbbc54bdf2ff31a3962d9a3d1b65068903e3688674cb",
+        "results.jsonl": "3f9517f97399de8b6378c98eeb1815948c618ea9a28d68b06920dbd468f615ac",
+        "summary.csv": "8d1834bc5a0cbea6f5c52735894b1a35aa2dcca71174c7f931974d9607739fed",
+    },
+    "necessity_demo": {
+        "manifest.json": "fc4b4ed6197e39e7d45a053fb39a9877196434e580f309d7bf704763b3072982",
+        "results.jsonl": "9b5e2bb66c903aca34dcfc85dda99bd3f16d974d28b5ef647e17eb79882aab75",
+        "summary.csv": "19ae558736ea922612007c42df491bbf9a07dfedffd460cacb716049d74cf043",
+    },
+    "local_conv": {
+        "manifest.json": "b26b17d15f4b083b842fb469949d4197450f7d3b04b065b4367cbfd7da19315c",
+        "results.jsonl": "9303c12e3ea1b5a281fd37af3b59fa19b93c339dda30ef107d91550eae53bd1d",
+        "summary.csv": "436bba30d7d00570d0ad67d055769d4ce5bf319703d197a0da29a939bdb22c6a",
+    },
+    "coupling": {
+        "manifest.json": "0ef78c3bdb104a5d982567eb6fd5597ca11891b7fb8eaf90633ade761f13048d",
+        "results.jsonl": "b427854fb7932b9c232a2dd79af2bf9350d813a135f1a61156bdd2f83055647d",
+        "summary.csv": "98c7686580501062ffe7ec28916bfd2dd7b37296f4fa6f9e86baf3c0759a82a5",
+    },
+    "distances": {
+        "distances_hist_n300_seed0.csv": "f029855f6da9736883e1367bd0650161e878ea85c72a94d1c1af34c67e502450",
+        "distances_hist_n300_seed1.csv": "f046c978a2a0f4db402236275832dcfdd7274efcde7596fc2ca3832303bb5660",
+        "distances_hist_n500_seed0.csv": "e27c757a3d55f3120b07075568582527cb51c1134429958e574c5f8477b99436",
+        "distances_hist_n500_seed1.csv": "c81609af2461f7e33edfb2dac4eb8e440d7ae670a66f1ed0b0435c69f22440ca",
+        "manifest.json": "2f34023b608ca1ac33ab0011553d578aa3d16cd6fcd6fca3199838da55dd7c8a",
+        "results.jsonl": "96768f247b539b20c2f31c4991f7fae515b4443b6564f9daf083e92fb13e3101",
+        "summary.csv": "6405fd2e92c28bd7901e480268931e0806addd44ab7f68cd63bd12e0149b5821",
+    },
+    "p2_demo": {
+        "manifest.json": "7548e0666fe153c7d968ee92d5b65d812e24feeca3d807b49138a16526acf9f3",
+        "results.jsonl": "8ec648946419466aae5a45abeaee70959d8e959ee8c1461901daad588887f4b5",
+        "summary.csv": "4a406e519cd46a4df0e6d253d72bbe8cc298aac1e92e17e77afc9e5d94998e8a",
+    },
+    "truncation": {
+        "manifest.json": "b1f06340d04450ccd41a2e3b02ca73674b9386165d157fe005ea35922f6d0d31",
+        "results.jsonl": "479e6c7aa47ed002a32025b51b77749d35ebce5b7c1238f808a54ddfdb2da379",
+        "summary.csv": "4adf94748f52948837eaff69eb87138aaba0a0f92a601624287e4cdd37606985",
+    },
+}
+
+
+def output_digests(experiment, out_dir, threads):
+    """sha256 of every file one pinned run writes."""
+    data = {"experiment": experiment, "n": [300, 500], "seeds": [0, 1], "out_dir": out_dir}
+    cfg = config_from_dict({**data, **PINNED_CONFIGS[experiment]})
+    assert run_experiment(cfg, threads=threads) == 0
+    return {
+        name: hashlib.sha256(read(os.path.join(out_dir, name))).hexdigest()
+        for name in sorted(os.listdir(out_dir))
+    }
+
+
+@pytest.mark.parametrize("experiment", expcli.EXPERIMENTS)
+def test_outputs_match_recorded_digests(tmp_path, experiment):
+    assert experiment in OUTPUT_SHA256, f"no recorded digest for {experiment}"
+    assert output_digests(experiment, str(tmp_path), threads=1) == OUTPUT_SHA256[experiment]
+
+
 def test_threads_do_not_change_output(tmp_path):
     out_a = str(tmp_path / "serial")
     out_b = str(tmp_path / "pooled")
@@ -183,6 +269,10 @@ def test_threads_do_not_change_output(tmp_path):
     assert run_experiment(cfg_b, threads=3) == 0
     for name in ("results.jsonl", "summary.csv"):
         assert read(os.path.join(out_a, name)) == read(os.path.join(out_b, name))
+    # every experiment's pooled output matches its recorded serial digests
+    for experiment in expcli.EXPERIMENTS:
+        out = str(tmp_path / experiment)
+        assert output_digests(experiment, out, threads=2) == OUTPUT_SHA256.get(experiment)
 
 
 def test_p2_demo_manifest_has_no_offspring_spec(tmp_path):
@@ -470,6 +560,11 @@ def test_main_bad_config_exits_two(tmp_path, capsys):
         ("m_exponent", 0),
         ("m_exponent", 1.5),
         ("m_exponent", "0.4"),
+        ("alpha", 0.5),
+        ("alpha", 1),
+        ("alpha", 2.0),
+        ("delta", 0),
+        ("delta", -0.5),
     ],
 )
 def test_main_malformed_field_exits_two_naming_it(tmp_path, capsys, field, value):
@@ -479,6 +574,39 @@ def test_main_malformed_field_exits_two_naming_it(tmp_path, capsys, field, value
     assert main(["giant", "--config", str(config_path), "--out", out]) == 2
     assert f"'{field}'" in capsys.readouterr().err
     assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize(
+    "argv, config, field",
+    [
+        (["local_conv"], {"pmf": {"2": 1.0}}, "pmf"),
+        (["distances"], {"pmf": {"1": 0.9, "2": 0.1}}, "pmf"),
+        (["distances"], {"sequence_path": "degrees.txt"}, "sequence_path"),
+        (["necessity_demo", "--n", "1"], {}, "n"),
+        (["necessity_demo"], {"sequence_path": "degrees.txt"}, "sequence_path"),
+    ],
+    ids=["degree-two-law", "subcritical-pmf", "subcritical-sequence", "n-below-two", "halves-from-sequence"],
+)
+def test_main_unsuited_config_exits_two_naming_it(tmp_path, monkeypatch, capsys, argv, config, field):
+    # checked when the config is parsed, before any job runs
+    monkeypatch.chdir(tmp_path)
+    DegreeSequence(np.array([1, 1, 2, 2])).save("degrees.txt")  # subcritical law
+    with open("cfg.json", "w") as fh:
+        json.dump({"n": [400], "seeds": [0], **config}, fh)
+    assert main([*argv, "--config", "cfg.json", "--out", "out"]) == 2
+    assert f"'{field}'" in capsys.readouterr().err
+    assert not os.path.exists("out")
+
+
+def test_main_config_file_without_experiment_key(tmp_path):
+    # the subcommand names the experiment
+    config_path = tmp_path / "cfg.json"
+    config_path.write_text(json.dumps({"n": [300], "seeds": [3]}))
+    out = str(tmp_path / "out")
+    assert main(["structure", "--config", str(config_path), "--out", out]) == 0
+    manifest = json.loads(read(os.path.join(out, "manifest.json")))
+    assert manifest["experiment"] == "structure"
+    assert manifest["seeds"] == [3]
 
 
 def test_main_malformed_override_exits_two(tmp_path, capsys):

@@ -94,13 +94,6 @@ def test_validate_rejects_broken_matchings():
         HalfEdgeGraph(np.array([0, 2, 4]), bad).validate()
 
 
-def test_save_edge_list(tmp_path):
-    g = build([2])
-    path = tmp_path / "edges.txt"
-    g.save_edge_list(path)
-    assert path.read_text() == "0 0\n"
-
-
 def test_truncate_explode_basic():
     emap = truncate_explode(DegreeSequence(np.array([5, 1])), 3)
     assert emap.truncated_degrees.degrees.tolist() == [3, 1, 1, 1]

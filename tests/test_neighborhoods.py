@@ -21,13 +21,7 @@ from cmgiant import (
     restricted_ball_distribution,
     tv_distance,
 )
-from cmgiant.neighborhoods import (
-    OVERSIZE_BALL,
-    _tree_code,
-    extract_ball,
-    tree_string,
-    write_distribution_csv,
-)
+from cmgiant.neighborhoods import OVERSIZE_BALL, _tree_code, extract_ball
 from strategies import degree_lists
 
 
@@ -546,30 +540,3 @@ def test_tv_distance_basics():
     assert tv_distance({a: 1.0}, {a: 1.0}) == 0.0
     assert tv_distance({a: 1.0}, {b_: 1.0}) == 1.0
     assert tv_distance({a: 1.0}, {a: 0.5, b_: 0.5}) == 0.5
-
-
-def test_tree_string_rendering():
-    assert tree_string(ball(1, [], (2,))) == "()+2"
-    assert tree_string(ball(2, [(0, 1)], (0, 1))) == "(()+1)"
-    assert tree_string(ball(3, [(0, 1), (0, 2)], (0, 0, 0))) == "((),())"
-    # cycles and loops are not trees
-    assert tree_string(ball(1, [(0, 0)], (0,))) == ""
-    assert tree_string(ball(3, [(0, 1), (0, 2), (1, 2)], (0, 0, 0))) == ""
-
-
-def test_code_hex_digest_is_short_hash():
-    code = canonical_code(ball(1, [], (3,)))
-    assert len(code.hex_digest()) == 12
-    int(code.hex_digest(), 16)
-
-
-def test_write_distribution_csv(tmp_path):
-    b1 = ball(1, [], (1,))
-    b2 = ball(1, [], (3,))
-    c1, c2 = canonical_code(b1), canonical_code(b2)
-    path = tmp_path / "dist.csv"
-    write_distribution_csv({c1: 0.25, c2: 0.75}, {c1: b1, c2: b2}, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "code_hash,tree,mass"
-    assert lines[1].split(",") == [c2.hex_digest(), "()+3", "0.75"]
-    assert lines[2].split(",") == [c1.hex_digest(), "()+1", "0.25"]
