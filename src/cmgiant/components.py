@@ -144,14 +144,13 @@ def disconnected_pair_fraction(cs: ComponentSummary, k: int, n: int) -> float:
     return (s * s - q) / (n * n)
 
 
-def boundary_pair_fraction(g: HalfEdgeGraph, r: int) -> float:
+def boundary_pair_fraction(g: HalfEdgeGraph, cs: ComponentSummary, r: int) -> float:
     """Fraction of ordered pairs in distinct clusters, both with |∂B_r| >= r.
 
     Substitutes a local quantity (a fat distance-r boundary) for raw cluster
     size; the same cross-cluster pair count formula applies to the per-cluster
-    counts of vertices passing the boundary test.
+    counts of vertices passing the boundary test. cs is the decomposition of g.
     """
-    cs = component_decomposition(g)
     bc = boundary_counts(g, r)
     passing = bc >= r
     counts = np.bincount(cs.labels[passing], minlength=cs.num_clusters).astype(np.int64)

@@ -175,7 +175,7 @@ def _pair_fractions(job: Job) -> dict:
     for k in job.cfg.k_values:
         record[f"dpf_k{k}"] = disconnected_pair_fraction(cs, k, g.n)
     for r in job.cfg.r_values:
-        record[f"bpf_r{r}"] = boundary_pair_fraction(g, r)
+        record[f"bpf_r{r}"] = boundary_pair_fraction(g, cs, r)
     return record
 
 

@@ -14,24 +14,48 @@ by stub counts, and adds that string to its parent's color, a sorted
 multiset. When only a loop-free root is left the ball is a tree, and its code
 is "T" plus the root's AHU string, found with no search. A pendant tree is
 no deeper than the radius r, so a ball of n vertices costs O(r n) bytes of
-copying plus the sorts. The branching-process census encodes its sampled
-trees with the same rule, so the two sides of a comparison share one code
-space. Otherwise what is left is the core: the root, the vertices on cycles,
-self-loops or multi-edges, and the paths joining them. Color refinement,
-seeded with (distance from root, degree inside the core, loop count, stub
-count, folded color), then individualization inside residual color classes
-give the core a canonical order, and the code is "G" plus the core
-serialized in that order with every vertex's stubs and folded color.
+copying plus the sorts. Otherwise what is left is the core: the root, the
+vertices on cycles, self-loops or multi-edges, and the paths joining them.
+Color refinement, seeded with (distance from root, degree inside the core,
+loop count, stub count, folded color), then individualization inside
+residual color classes give the core a canonical order, and the code is "G"
+plus the core serialized in that order with every vertex's stubs and folded
+color.
 
 A ball gets the oversize code when extraction hits the ball vertex cap,
 or when refinement leaves a class of more than CLASS_CAP interchangeable
 core vertices (individualization is factorial in its size). Classes of
 pendant vertices never count toward CLASS_CAP, so trees, including stars of
 any width, always get an exact code.
+
+The two censuses rank whole levels of trees at once with AHU's level step,
+on arrays, and build the AHU string once per distinct class:
+
+- Graph side. A tree test walks every non-backtracking half-edge path of
+  length r + 1 or less from every root and sorts the (root, endpoint) keys
+  once; a key that repeats with a walk of r steps or less marks a cycle,
+  self-loop or multi-edge in the ball. A tree root's class then comes from
+  r - 1 rounds of per-half-edge messages: a half-edge's class names the
+  tree hanging from its far end, and each round ranks the sorted classes of
+  the far vertex's other half-edges. Only cyclic roots, and roots with more
+  than cap walks of length r or less (a tree ball has exactly that many
+  vertices), fall back to canonical_ball, one root at a time.
+- Branching-process side. Draws come from a root and a child buffer on one
+  generator, each refilled with one rng.choice call and read from its end,
+  exactly as a tree grown breadth first, one node at a time, would take
+  them. Tree t's child draws are one contiguous run that starts where tree
+  t - 1's run ended, and level j + 1 of a tree has as many nodes as its
+  level-j draws add up to, so a scan over prefix sums finds each tree's run
+  and where it overflows the cap; the nodes of each level are then ranked
+  across all trees at once.
+
+Both sides give every tree the bytes canonical_code gives it, so the two
+sides of a comparison share one code space.
 """
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
 
@@ -44,6 +68,12 @@ from .local_limit import OffspringSpec
 DEFAULT_BALL_CAP = 1000
 CLASS_CAP = 8
 _OVERSIZE = b"!oversize"
+_DRAW_CHUNK = 1 << 18  # draws per buffer refill of the branching-process census
+# The censuses work in pieces of a few 1e4 array entries: the allocator keeps
+# the heap of the largest piece, which is what peak RSS then measures.
+_BATCH_TREES = 1 << 12  # trees ranked together
+_WALK_BUDGET = 1 << 15  # walks per chunk of roots in the tree test
+_WALK_CLIP = 1 << 30  # walk counts saturate here, far above any cap
 
 
 @dataclass(frozen=True)
@@ -111,18 +141,6 @@ def _ball_structure(ball: RootedBall):
 def _ahu(stubs: int, child_codes: list[bytes]) -> bytes:
     """AHU string of a tree vertex: its stubs, then its children's strings sorted."""
     return b"(%d%s)" % (stubs, b"".join(sorted(child_codes)))
-
-
-def _tree_code(children: list[list[int]], stubs) -> bytes:
-    """AHU string of the stub-labelled tree rooted at 0.
-
-    children[u] lists the children of u; every child is numbered above its
-    parent, as in breadth-first order.
-    """
-    codes: list[bytes] = [b""] * len(stubs)
-    for u in range(len(stubs) - 1, -1, -1):
-        codes[u] = _ahu(stubs[u], [codes[w] for w in children[u]])
-    return codes[0]
 
 
 def _dense_ranks(keys: list) -> list[int]:
@@ -291,31 +309,199 @@ def canonical_ball(
 BallDistribution = dict[CanonicalBall, float]
 
 
-def empirical_ball_distribution(
-    g: HalfEdgeGraph,
-    r: int,
-    sample_size: int | None = None,
-    rng: np.random.Generator | None = None,
-    cap: int = DEFAULT_BALL_CAP,
-) -> BallDistribution:
-    """Distribution of ball codes over roots of g.
+class _Rows:
+    """Ragged rows of child classes, ranked so that equal rows share a class.
 
-    sample_size None sweeps every vertex; otherwise roots are drawn i.i.d.
-    uniformly (rng required).
+    Row i holds the length[i] entries vals[base[i] + j + (j >= skip[i])]:
+    a sorted run that starts at base[i], with the entry at offset skip[i]
+    left out (a skip of length[i] or more leaves nothing out). Ranking is
+    AHU's level step: the columns are folded in one at a time, each fold
+    ranking (row class so far, next entry) pairs with a 1-D np.unique over
+    the rows still that long, and the row length is folded in last. Classes
+    are dense and carry no order.
     """
-    if sample_size is None:
-        roots = range(g.n)
-        total = g.n
+
+    def __init__(self, vals: np.ndarray, base, length, skip=None) -> None:
+        self.vals = vals
+        self.base = np.asarray(base, dtype=np.int64)
+        self.length = np.asarray(length, dtype=np.int64)
+        self.skip = self.length if skip is None else skip
+        order = np.argsort(-self.length, kind="stable")
+        base, length, skip = self.base[order], self.length[order], self.skip[order]
+        width = int(length[0]) if length.size else 0
+        span = int(vals.max()) + 1 if vals.size else 1
+        cls = np.zeros(length.size, dtype=np.int64)
+        # column j reaches the rows longer than j, a prefix in this order
+        for j, k in enumerate(np.searchsorted(-length, -np.arange(width)).tolist()):
+            entry = vals[base[:k] + j + (skip[:k] <= j)]
+            cls[:k] = np.unique(cls[:k] * span + entry, return_inverse=True)[1]
+        _, first, cls = np.unique(
+            cls * (width + 1) + length, return_index=True, return_inverse=True
+        )
+        self.classes = np.empty_like(cls)
+        self.classes[order] = cls
+        self._rep = order[first]
+
+    def children(self, c: int) -> list[int]:
+        """The child classes in a row of class c."""
+        i = self._rep[c]
+        base, skip = int(self.base[i]), int(self.skip[i])
+        return [int(self.vals[base + j + (j >= skip)]) for j in range(int(self.length[i]))]
+
+
+def _sorted_runs(values: np.ndarray, lengths: np.ndarray):
+    """values with each run of lengths[i] consecutive entries sorted, and the
+    sorted position of every entry."""
+    perm = np.lexsort((values, np.repeat(np.arange(lengths.size), lengths)))
+    where = np.empty_like(perm)
+    where[perm] = np.arange(perm.size)
+    return values[perm], where
+
+
+def _ragged(starts: np.ndarray, lengths: np.ndarray):
+    """Row and value of every entry of the ranges starts[i] .. starts[i] + lengths[i] - 1."""
+    row = np.repeat(np.arange(lengths.size), lengths)
+    offset = starts - (np.cumsum(lengths) - lengths)
+    return row, np.arange(row.size) + np.repeat(offset, lengths)
+
+
+def _child_rows(classes: np.ndarray, counts: np.ndarray) -> _Rows:
+    """Rows of consecutive children: row i holds the next counts[i] classes."""
+    vals, _ = _sorted_runs(classes, counts)
+    return _Rows(vals, np.cumsum(counts) - counts, counts)
+
+
+def _class_string(levels: list[_Rows], memo: list[dict], k: int, c: int) -> bytes:
+    """AHU string of class c of levels[k], or of leaf value c when k < 0."""
+    if k < 0:
+        return _ahu(c, [])
+    code = memo[k].get(c)
+    if code is None:
+        children = [_class_string(levels, memo, k - 1, w) for w in levels[k].children(c)]
+        code = memo[k][c] = _ahu(0, children)
+    return code
+
+
+def _encode(levels: list[_Rows], top: np.ndarray) -> tuple[np.ndarray, list[CanonicalBall]]:
+    """Class ids of the top rows and the tree code of each class.
+
+    Classes of levels[0] have leaf values as children, classes of levels[k]
+    have classes of levels[k - 1]; with no levels, top holds leaf values. A
+    leaf's string is its stub count, every other node has no stubs, and each
+    string is built once per class, from one row of the class.
+    """
+    values, ids = np.unique(top, return_inverse=True)
+    memo: list[dict[int, bytes]] = [{} for _ in levels]
+    top_level = len(levels) - 1
+    codes = [b"T" + _class_string(levels, memo, top_level, int(c)) for c in values]
+    return ids, [CanonicalBall(code) for code in codes]
+
+
+def _tally(counts: dict, ids: np.ndarray, codes: list) -> dict:
+    """Add each class's count to counts under its code, in order of first occurrence."""
+    classes, first, sizes = np.unique(ids, return_index=True, return_counts=True)
+    for k in np.argsort(first).tolist():
+        code = codes[classes[k]]
+        counts[code] = counts.get(code, 0) + int(sizes[k])
+    return counts
+
+
+def _cyclic(g: HalfEdgeGraph, roots: np.ndarray, r: int, cost: np.ndarray) -> np.ndarray:
+    """Which roots have a cycle, self-loop or multi-edge in their radius-r ball.
+
+    Every non-backtracking half-edge walk of length r + 1 or less from a root
+    becomes a (root, endpoint, length) key, and the keys are sorted once. In
+    a tree ball the walks of length r or less reach distinct vertices and
+    the walks of length r + 1 leave the ball, so a root is cyclic exactly
+    when a (root, endpoint) pair repeats and the shorter walk has length r or
+    less. Roots go in chunks of about _WALK_BUDGET walks (cost per root).
+    """
+    n, offsets, mate, owner = g.n, g.offsets, g.mate, g.owner
+    cyclic = np.zeros(roots.size, dtype=bool)
+    bound = np.cumsum(cost)
+    lo = 0
+    while lo < roots.size:
+        hi = int(np.searchsorted(bound, bound[lo] - cost[lo] + _WALK_BUDGET, "right"))
+        hi = max(hi, lo + 1)
+        who = np.arange(hi - lo)
+        at, came = roots[lo:hi], np.full(hi - lo, -1)
+        keys = [(who * n + at) * (r + 2)]
+        for length in range(1, r + 2):
+            row, out = _ragged(offsets[at], offsets[at + 1] - offsets[at])
+            keep = out != came[row]
+            who, came = who[row[keep]], mate[out[keep]]
+            at = owner[came]
+            keys.append((who * n + at) * (r + 2) + length)
+        pair, length = np.divmod(np.sort(np.concatenate(keys)), r + 2)
+        twice = (pair[1:] == pair[:-1]) & (length[:-1] <= r)
+        cyclic[lo + pair[1:][twice] // n] = True
+        lo = hi
+    return cyclic
+
+
+def _ball_classes(g: HalfEdgeGraph, r: int, cap: int) -> tuple[np.ndarray, list[CanonicalBall]]:
+    """Class id of every root's radius-r ball, and the code of each class."""
+    n, offsets, mate = g.n, g.offsets, g.mate
+    degree = np.diff(offsets)
+    far = g.owner[mate]
+    # walks[v]: non-backtracking walks of length r or less from v, the empty
+    # walk included, which is the vertex count of a tree ball; step[v] counts
+    # those of the next length, out_walks[x] those that start along x
+    walks = np.ones(n, dtype=np.int64)
+    step = degree.copy()
+    out_walks = np.ones(mate.size, dtype=np.int64)
+    for _ in range(r):
+        walks += step
+        out_walks = np.minimum(step[far] - out_walks[mate], _WALK_CLIP)
+        total = np.concatenate(([0], np.cumsum(out_walks)))
+        step = total[offsets[1:]] - total[offsets[:-1]]
+    small = np.flatnonzero(walks <= cap)
+    tree = small[~_cyclic(g, small, r, walks[small] + step[small])]
+
+    # a half-edge's class at level k names the tree hanging from its far end
+    # when that end is at depth r - k: at depth r its stubs, inside the ball
+    # the row of its other half-edges' classes one level down
+    levels: list[_Rows] = []
+    classes = degree[far] - 1
+    for _ in range(r - 1):
+        vals, where = _sorted_runs(classes, degree)
+        levels.append(_Rows(vals, offsets[far], degree[far] - 1, where[mate] - offsets[far]))
+        classes = levels[-1].classes
+    if r:
+        vals, _ = _sorted_runs(classes, degree)
+        levels.append(_Rows(vals, offsets[tree], degree[tree]))
+        top = levels[-1].classes
     else:
-        if rng is None:
-            raise ValueError("sampling roots needs an rng")
-        roots = rng.integers(0, g.n, size=sample_size).tolist()
-        total = sample_size
-    counts: dict[CanonicalBall, int] = {}
-    for v in roots:
-        _, code = canonical_ball(g, int(v), r, cap)
-        counts[code] = counts.get(code, 0) + 1
-    return {code: c / total for code, c in counts.items()}
+        top = degree[tree]
+    ids = np.empty(n, dtype=np.int64)
+    ids[tree], codes = _encode(levels, top)
+    index = {code: i for i, code in enumerate(codes)}
+    rest = np.ones(n, dtype=bool)
+    rest[tree] = False
+    for v in np.flatnonzero(rest).tolist():
+        code = canonical_ball(g, v, r, cap)[1]
+        if code not in index:
+            index[code] = len(codes)
+            codes.append(code)
+        ids[v] = index[code]
+    return ids, codes
+
+
+def empirical_ball_distribution(
+    g: HalfEdgeGraph, r: int, cap: int = DEFAULT_BALL_CAP
+) -> BallDistribution:
+    """Distribution of ball codes over all roots of g.
+
+    A root whose ball is a tree of at most cap vertices gets its code from
+    message classes: _cyclic finds the tree balls, and r - 1 rounds give
+    every half-edge the class of the tree hanging from its far end, each
+    round ranking the sorted classes of the far vertex's other half-edges.
+    Every other root, cyclic or with more than cap walks of length r or
+    less, goes through canonical_ball. The codes equal canonical_ball's for
+    every root.
+    """
+    ids, codes = _ball_classes(g, r, cap)
+    return {code: c / g.n for code, c in _tally({}, ids, codes).items()}
 
 
 @dataclass(frozen=True)
@@ -337,36 +523,79 @@ def restricted_ball_distribution(
     cs: ComponentSummary,
     cap: int = DEFAULT_BALL_CAP,
 ) -> RestrictedBallDistribution:
-    giant_counts: dict[CanonicalBall, int] = {}
-    other_counts: dict[CanonicalBall, int] = {}
-    labels = cs.labels
-    n = g.n
-    for v in range(n):
-        _, code = canonical_ball(g, v, r, cap)
-        bucket = giant_counts if labels[v] == 0 else other_counts
-        bucket[code] = bucket.get(code, 0) + 1
+    """The per-root classes of empirical_ball_distribution, split by cs.labels."""
+    ids, codes = _ball_classes(g, r, cap)
+    inside = cs.labels == 0
+    giant, other = _tally({}, ids[inside], codes), _tally({}, ids[~inside], codes)
     return RestrictedBallDistribution(
-        giant={code: c / n for code, c in giant_counts.items()},
-        non_giant={code: c / n for code, c in other_counts.items()},
+        giant={code: c / g.n for code, c in giant.items()},
+        non_giant={code: c / g.n for code, c in other.items()},
     )
 
 
-class _DrawBuffer:
-    """Buffered i.i.d. draws from a small integer pmf."""
+def _scan(roots, t: int, stop: int, prefix, i: int, r: int, cap: int, starts, over):
+    """Lay trees t .. stop - 1 of a root chunk along the child draw stream.
 
-    def __init__(self, support, probabilities, rng: np.random.Generator, chunk: int = 1 << 18):
-        self._support = np.array(support, dtype=np.int64)
-        self._probs = np.array(probabilities)
-        self._rng = rng
-        self._chunk = chunk
-        self._buf: list[int] = []
+    A tree takes its child draws as one run from draw i on, in breadth-first
+    order: its c root children first, then as many nodes at each next level
+    as the draws of the level before add up to (prefix sums). A tree whose
+    nodes would pass cap ends its run at the node whose children overflow,
+    or takes no child draw when the root's do. Each tree's run start goes to
+    starts and its overflow to over. Returns the first tree whose run passes
+    the draws at hand (stop when all fit) and the start of its run.
+    """
+    if not r:
+        return stop, i
+    end = len(prefix) - 1
+    for t in range(t, stop):
+        c = roots[t]
+        lo, hi, size = i, i + c, 1 + c
+        if size > cap:
+            over[t] = True
+            hi = i
+        else:
+            for _ in range(r - 1):
+                # an overflow among the draws at hand needs no refill
+                seen = hi if hi <= end else end
+                more = prefix[seen] - prefix[lo]
+                if size + more > cap:
+                    hi = bisect_right(prefix, prefix[lo] + cap - size, lo + 1, seen + 1)
+                    over[t] = True
+                    break
+                if hi > end:
+                    return t, i
+                lo, hi, size = hi, hi + more, size + more
+            if hi > end:
+                return t, i
+        starts[t] = i
+        i = hi
+    return stop, i
 
-    def take(self) -> int:
-        if not self._buf:
-            self._buf = self._rng.choice(
-                self._support, size=self._chunk, p=self._probs
-            ).tolist()
-        return self._buf.pop()
+
+def _tree_classes(roots, starts, over, draws, prefix, r: int):
+    """Class ids and codes of scanned trees; oversize trees share the last id.
+
+    The nodes of each level are gathered across all trees at once, and the
+    levels are ranked from depth r up.
+    """
+    fit = ~over
+    top = roots[fit].astype(np.int64)
+    levels: list[_Rows] = []
+    if r:
+        begin, size, spans = starts[fit], top, []
+        for _ in range(r):
+            spans.append(_ragged(begin, size)[1])
+            begin, size = begin + size, prefix[begin + size] - prefix[begin]
+        classes = draws[spans.pop()]
+        for span in reversed(spans):
+            levels.append(_child_rows(classes, draws[span].astype(np.int64)))
+            classes = levels[-1].classes
+        levels.append(_child_rows(classes, top))
+        top = levels[-1].classes
+    fit_ids, codes = _encode(levels, top)
+    ids = np.full(over.size, len(codes))
+    ids[fit] = fit_ids
+    return ids, codes + [OVERSIZE_BALL]
 
 
 def bp_ball_distribution(
@@ -379,41 +608,51 @@ def bp_ball_distribution(
     """Distribution of depth-r tree codes under the two-stage process.
 
     Nodes at depth r draw their child count but keep it as a stub mark, the
-    exact analogue of a graph vertex on the ball's boundary. Each sampled
-    tree is encoded by the same AHU rule that canonical_code applies to tree
-    balls, so a tree and an isomorphic graph ball share one code. Trees that
-    would exceed cap nodes count as oversize.
+    exact analogue of a graph vertex on the ball's boundary. Trees are coded
+    by the AHU rule that canonical_code applies to tree balls, so a tree and
+    an isomorphic graph ball share one code. Trees that would exceed cap
+    nodes count as oversize.
+
+    Draws come from two buffers on rng, root and child, each refilled with
+    one rng.choice call of _DRAW_CHUNK draws and read from its end, when a
+    tree grown breadth-first node by node would first need a draw from it.
+    _scan lays the trees along the child draws, and each stretch of trees
+    between two refills is ranked at once.
     """
-    root_draws = _DrawBuffer(spec.root_pmf.support, spec.root_pmf.probabilities, rng)
-    child_draws = _DrawBuffer(
-        spec.shifted_pmf.support, spec.shifted_pmf.probabilities, rng
-    )
-    counts: dict[bytes, int] = {}
-    for _ in range(samples):
-        depth: list[int] = [0]
-        stub: list[int] = [0]
-        children: list[list[int]] = [[]]
-        oversize = False
-        queue = deque([0])
-        while queue and not oversize:
-            u = queue.popleft()
-            c = root_draws.take() if u == 0 else child_draws.take()
-            if depth[u] == r:
-                stub[u] = c
-                continue
-            for _ in range(c):
-                if len(depth) == cap:
-                    oversize = True
-                    break
-                w = len(depth)
-                depth.append(depth[u] + 1)
-                stub.append(0)
-                children.append([])
-                children[u].append(w)
-                queue.append(w)
-        code = _OVERSIZE if oversize else b"T" + _tree_code(children, stub)
-        counts[code] = counts.get(code, 0) + 1
-    return {CanonicalBall(code): c / samples for code, c in counts.items()}
+
+    def refill(pmf) -> np.ndarray:
+        support = np.array(pmf.support, dtype=np.int64)
+        drawn = rng.choice(support, size=_DRAW_CHUNK, p=np.array(pmf.probabilities))
+        return drawn[::-1].astype(np.min_scalar_type(pmf.support[-1]))
+
+    counts: dict[CanonicalBall, int] = {}
+    # child draws from the current tree on; a refill keeps the chunk's dtype
+    draws = np.zeros(0, dtype=np.uint8)
+    prefix = np.zeros(1, dtype=np.int64)
+    i = done = 0
+    while done < samples:
+        roots = refill(spec.root_pmf)
+        stop = min(roots.size, samples - done)
+        starts = np.zeros(stop, dtype=np.int64)
+        over = np.zeros(stop, dtype=bool)
+        t = 0
+        while t < stop:
+            u, i = _scan(
+                memoryview(roots), t, stop, memoryview(prefix), i, r, cap,
+                memoryview(starts), memoryview(over),
+            )
+            for a in range(t, u, _BATCH_TREES):
+                b = min(u, a + _BATCH_TREES)
+                ids, codes = _tree_classes(roots[a:b], starts[a:b], over[a:b], draws, prefix, r)
+                _tally(counts, ids, codes)
+            if u < stop:
+                draws = np.concatenate((draws[i:], refill(spec.shifted_pmf)))
+                prefix = np.zeros(draws.size + 1, dtype=np.int64)
+                np.cumsum(draws, out=prefix[1:])
+                i = 0
+            t = u
+        done += stop
+    return {code: c / samples for code, c in counts.items()}
 
 
 def tv_distance(a: BallDistribution, b: BallDistribution) -> float:

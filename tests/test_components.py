@@ -215,17 +215,18 @@ def test_boundary_pair_fraction_perfect_matching():
     seq = DegreeSequence(np.ones(n, dtype=np.int64))
     g = pair_half_edges(seq, np.random.default_rng(3))
     # every sphere of radius 2 around a degree-1 vertex is empty
-    assert boundary_pair_fraction(g, 2) == 0.0
+    assert boundary_pair_fraction(g, component_decomposition(g), 2) == 0.0
 
 
 def test_boundary_pair_fraction_two_cycles():
     from cmgiant import boundary_pair_fraction
 
     g = disjoint_union(cycle_graph(100), cycle_graph(100))
+    cs = component_decomposition(g)
     # on a cycle every boundary has exactly 2 vertices, short of r=3
-    assert boundary_pair_fraction(g, 3) == 0.0
+    assert boundary_pair_fraction(g, cs, 3) == 0.0
     # at r=2 all 200 vertices qualify and the two clusters face each other
-    assert boundary_pair_fraction(g, 2) == pytest.approx(
+    assert boundary_pair_fraction(g, cs, 2) == pytest.approx(
         2 * 100 * 100 / (200 * 200)
     )
 
@@ -245,7 +246,7 @@ def test_boundary_pair_fraction_matches_per_vertex_bfs(degrees, r, seed):
         for v in range(n):
             if passing[u] and passing[v] and cs.labels[u] != cs.labels[v]:
                 count += 1
-    assert boundary_pair_fraction(g, r) == pytest.approx(count / (n * n))
+    assert boundary_pair_fraction(g, cs, r) == pytest.approx(count / (n * n))
 
 
 def test_largest_cluster_bounded_by_tail_mass(mixture_components, mixture_graph):

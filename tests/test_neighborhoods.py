@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,10 +21,13 @@ from cmgiant import (
     empirical_ball_distribution,
     pair_half_edges,
     restricted_ball_distribution,
+    sample_iid_degrees,
     tv_distance,
 )
-from cmgiant.neighborhoods import OVERSIZE_BALL, _tree_code, extract_ball
-from strategies import degree_lists
+from cmgiant import neighborhoods
+from cmgiant.neighborhoods import DEFAULT_BALL_CAP, OVERSIZE_BALL, extract_ball
+from oracles import ball_census, bp_ball_census, tree_code
+from strategies import degree_lists, pmf_dicts
 
 
 def graph_from(degrees, mate):
@@ -277,7 +282,7 @@ def test_tree_codes_match_the_branching_process_encoder(n, data):
     stubs = tuple(data.draw(st.integers(0, 3)) for _ in range(n))
     tree = ball(n, [(parent[v], v) for v in range(1, n)], stubs)
     perm = data.draw(st.permutations(list(range(1, n))))
-    expected = b"T" + _tree_code(children, stubs)
+    expected = b"T" + tree_code(children, stubs)
     assert canonical_code(tree).code == expected
     assert canonical_code(relabeled(tree, [0] + list(perm))).code == expected
 
@@ -440,16 +445,6 @@ def test_empirical_radius_zero_census_matches_degrees():
         assert dist[code] == pytest.approx(counts[code])
 
 
-def test_empirical_sampling_mode():
-    g = cycle_graph(30)
-    with pytest.raises(ValueError):
-        empirical_ball_distribution(g, 1, sample_size=10)
-    sampled = empirical_ball_distribution(
-        g, 1, sample_size=500, rng=np.random.default_rng(0)
-    )
-    assert sampled == empirical_ball_distribution(g, 1)
-
-
 def test_restricted_distribution_splits_exactly(mixture_graph, mixture_components):
     _, g = mixture_graph
     split = restricted_ball_distribution(g, 1, mixture_components)
@@ -461,6 +456,48 @@ def test_restricted_distribution_splits_exactly(mixture_graph, mixture_component
         assert merged == pytest.approx(full[code], abs=1e-12)
     gmax_frac = float(mixture_components.sizes[0] / g.n)
     assert sum(split.giant.values()) == pytest.approx(gmax_frac)
+
+
+@given(
+    st.one_of(degree_lists(max_n=12, max_degree=5), degree_lists(max_n=60, max_degree=3)),
+    st.integers(0, 3),
+    st.integers(1, 14),
+    st.integers(1, 200),
+    st.integers(0, 2**32 - 1),
+)
+def test_census_matches_per_root_oracle(degrees, r, cap, budget, seed):
+    # few vertices of degree up to 5 give cyclic roots (self-loops,
+    # multi-edges, cycles) and tree roots past the cap; sparser graphs of up
+    # to 60 vertices give tree balls of radius 2 and 3 below the cap; a small
+    # walk budget splits the tree test into many chunks of roots
+    g = pair_half_edges(DegreeSequence(np.array(degrees)), np.random.default_rng(seed))
+    cs = component_decomposition(g)
+    with mock.patch.object(neighborhoods, "_WALK_BUDGET", budget):
+        emp = empirical_ball_distribution(g, r, cap=cap)
+        split = restricted_ball_distribution(g, r, cs, cap=cap)
+    expected = ball_census(g, r, cap)
+    assert emp == expected
+    assert list(emp) == list(expected)
+    assert (split.giant, split.non_giant) == ball_census(g, r, cap, cs.labels)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_census_matches_per_root_oracle_on_a_sparse_graph(mixture_pmf, r):
+    # almost every ball is a tree, with leaves of every degree at every depth
+    rng = np.random.default_rng(7)
+    g = pair_half_edges(sample_iid_degrees(mixture_pmf, 3000, rng), rng)
+    assert empirical_ball_distribution(g, r) == ball_census(g, r, DEFAULT_BALL_CAP)
+
+
+def test_census_routes_every_kind_of_root():
+    # vertex 0 is alone with a self-loop; vertex 1 is the centre of a star
+    # with leaves 2..6, a tree ball of 6 vertices at radius 1
+    g = graph_from([2, 5, 1, 1, 1, 1, 1], [1, 0, 7, 8, 9, 10, 11, 2, 3, 4, 5, 6])
+    dist = empirical_ball_distribution(g, 1, cap=5)
+    assert dist == ball_census(g, 1, 5)
+    assert dist[OVERSIZE_BALL] == pytest.approx(1 / 7)
+    assert sorted(code.code[:1] for code in dist) == [b"!", b"G", b"T"]
+    assert OVERSIZE_BALL not in empirical_ball_distribution(g, 1, cap=6)
 
 
 # ---------------------------------------------------------------------------
@@ -514,6 +551,54 @@ def test_bp_cap_yields_oversize():
     spec = build_offspring_spec(Pmf.from_dict({3: 1.0}))
     dist = bp_ball_distribution(spec, 6, 50, np.random.default_rng(9), cap=20)
     assert dist == {OVERSIZE_BALL: 1.0}
+
+
+DENSE = {1: 0.4, 4: 0.3, 10: 0.3}
+
+
+def bp_digest(dist) -> str:
+    pairs = sorted((code.code, mass) for code, mass in dist.items())
+    return hashlib.sha256(repr(pairs).encode()).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "law, r, samples, seed, cap, digest",
+    [
+        # about 3.5e5 child draws: the child buffer refills mid-run
+        (DENSE, 2, 10_000, 11, 1000, "65fbc06a10806dbea480d2394d6a59fddb8740c61bd8a1db8054871aaed905a9"),
+        # more trees than one root buffer holds
+        ({1: 0.5, 3: 0.5}, 1, 2**18 + 5000, 12, 1000, "bf9323ed62454bfbdc53a25b0d04b29687c091429f492730e5c6973ffdeee9e0"),
+        # about a third of the trees overflow the cap, the rest do not
+        (DENSE, 2, 3000, 13, 40, "c2e0b86930e89f3a947c79e555e1ed704c824cc25d4fd3e94c5154b2d7b1b10d"),
+    ],
+    ids=["child_refill", "root_refill", "partial_cap"],
+)
+def test_bp_stream_is_pinned(law, r, samples, seed, cap, digest):
+    # digests recorded from the per-tree breadth-first census of library 0.3.0
+    spec = build_offspring_spec(Pmf.from_dict(law))
+    dist = bp_ball_distribution(spec, r, samples, np.random.default_rng(seed), cap=cap)
+    assert bp_digest(dist) == digest
+
+
+@given(
+    pmf_dicts(),
+    st.integers(0, 3),
+    st.integers(1, 40),
+    st.integers(1, 300),
+    st.integers(1, 64),
+    st.integers(1, 64),
+    st.integers(0, 2**32 - 1),
+)
+def test_bp_census_matches_per_tree_oracle(law, r, cap, samples, chunk, batch, seed):
+    # short buffers make refills land anywhere in a tree, including right
+    # after a node whose children overflow the cap; small batches rank the
+    # trees between two refills in several pieces
+    spec = build_offspring_spec(Pmf.from_dict(law))
+    expected = bp_ball_census(spec, r, samples, np.random.default_rng(seed), cap, chunk)
+    with mock.patch.multiple(neighborhoods, _DRAW_CHUNK=chunk, _BATCH_TREES=batch):
+        dist = bp_ball_distribution(spec, r, samples, np.random.default_rng(seed), cap=cap)
+    assert dist == expected
+    assert list(dist) == list(expected)
 
 
 def test_tv_against_bp_shrinks_with_n(mixture_pmf, mixture_spec):
