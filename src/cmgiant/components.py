@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -32,17 +31,6 @@ class ComponentSummary:
     @property
     def num_clusters(self) -> int:
         return int(self.sizes.size)
-
-    @cached_property
-    def per_cluster_degree_hist(self) -> list[dict[int, int]]:
-        """degree -> vertex count, one dict per cluster; built on first use
-        from one np.unique over (rank, degree) pairs."""
-        width = int(self.degrees.max(initial=0)) + 1
-        keys, freq = np.unique(self.labels * width + self.degrees, return_counts=True)
-        hists: list[dict[int, int]] = [{} for _ in range(self.num_clusters)]
-        for rank, d, c in zip((keys // width).tolist(), (keys % width).tolist(), freq.tolist()):
-            hists[rank][d] = c
-        return hists
 
 
 def _min_vertex_labels(g: HalfEdgeGraph) -> np.ndarray:
@@ -79,8 +67,7 @@ def component_decomposition(g: HalfEdgeGraph) -> ComponentSummary:
     Every vertex is first labeled by the smallest vertex of its component
     (`_min_vertex_labels`). Components are ranked with one lexsort on
     (-size, smallest vertex); the per-cluster edge counts come from one
-    bincount of degrees over ranks. The degree histograms are built only
-    when first read.
+    bincount of degrees over ranks.
     """
     n = g.n
     root = _min_vertex_labels(g)

@@ -16,6 +16,12 @@ differ, is the moment the processes part ways.
 Two-root runs share the matching and the draw clock but keep separate
 visited sets and separate branching states; their offspring streams stay
 independent because every branching draw is a fresh uniform label.
+
+The matching stores only what a run touches: owners and degrees come from
+the degree sequence's own array and its running offsets, paired labels sit
+in a set, and the pool of unpaired labels that redraws pick from is built
+on the first half-edge reuse. A run without reuses thus costs its steps,
+plus one cumulative sum over the degrees.
 """
 from __future__ import annotations
 
@@ -53,7 +59,6 @@ class CouplingTrace:
     steps: tuple[TraceStep, ...]
     first_divergence: int | None
     graph_generation_sizes: tuple[int, ...]
-    graph_complete_through: int
     bp_generation_sizes: tuple[int, ...]
     bp_next_partial: int
     bp_pending: int
@@ -70,75 +75,84 @@ class CouplingTrace:
 class _RootState:
     """Mutable exploration state for one root."""
 
-    __slots__ = (
-        "root",
-        "queue",
-        "visited",
-        "gen_counts",
-        "last_popped_level",
-        "steps",
-        "first_divergence",
-        "he_reuses",
-        "v_reuses",
-        "bp_gens",
-        "bp_remaining",
-        "bp_next",
-        "bp_dead",
-        "stopped",
-        "exhausted",
-    )
-
-    def __init__(self, root: int, root_degree: int, half_edges):
+    def __init__(self, root: int, half_edges: range):
         self.root = root
         self.queue = deque((h, 1) for h in half_edges)
         self.visited = {root}
         self.gen_counts = [1]
-        self.last_popped_level = 0
         self.steps: list[TraceStep] = []
         self.first_divergence: int | None = None
         self.he_reuses = 0
         self.v_reuses = 0
-        self.bp_gens = [1, root_degree]
-        self.bp_remaining = root_degree
+        self.bp_gens = [1, len(half_edges)]
+        self.bp_remaining = len(half_edges)
         self.bp_next = 0
-        self.bp_dead = root_degree == 0
+        self.bp_dead = False
         self.stopped = False
         self.exhausted = False
 
+    def bp_step(self, sm: _SharedMatching, y: int) -> int | None:
+        """Give the next branching individual deg(owner(y)) - 1 children.
+
+        Returns that count, or None when the branching side has died.
+        """
+        if self.bp_dead:
+            return None
+        children = int(sm.degrees[sm.owner(y)]) - 1
+        self.bp_remaining -= 1
+        self.bp_next += children
+        if self.bp_remaining == 0:
+            if self.bp_next == 0:
+                self.bp_dead = True
+            else:
+                self.bp_gens.append(self.bp_next)
+                self.bp_remaining = self.bp_next
+                self.bp_next = 0
+        return children
+
 
 class _SharedMatching:
-    """Lazy uniform pairing shared by all roots of one run."""
+    """Lazy uniform pairing shared by all roots of one run.
 
-    def __init__(self, degrees: np.ndarray, rng: np.random.Generator):
-        self.degrees = degrees.tolist()
-        self.offsets = np.concatenate(([0], np.cumsum(degrees))).tolist()
-        self.owner = np.repeat(np.arange(len(degrees)), degrees).tolist()
-        self.ell = self.offsets[-1]
-        self.mate = [-1] * self.ell
+    State: the sequence's degree array and its running offsets, `paired`
+    (the labels paired so far), and from the first half-edge reuse on two
+    label arrays: the redraw pool of unpaired labels and `pos`, each label's
+    index in the pool (-1 when not pooled). Pairing removes a label from the
+    pool by moving the last one into its slot.
+    """
+
+    def __init__(self, seq: DegreeSequence, rng: np.random.Generator):
+        self.degrees = seq.degrees
+        self.offsets = np.concatenate(([0], np.cumsum(seq.degrees)))
+        self.ell = int(self.offsets[-1])
+        self.paired: set[int] = set()
         self.rng = rng
-        self.pool: list[int] | None = None
-        self.pos: list[int] | None = None
+        self.pool: np.ndarray | None = None
+        self.pos: np.ndarray | None = None
 
-    def half_edges(self, v: int):
-        return range(self.offsets[v], self.offsets[v + 1])
+    def owner(self, h: int) -> int:
+        # every degree is at least 1, so the offsets strictly increase
+        return int(self.offsets.searchsorted(h, side="right")) - 1
+
+    def half_edges(self, v: int) -> range:
+        return range(int(self.offsets[v]), int(self.offsets[v + 1]))
 
     def _build_pool(self, exclude: int) -> None:
-        self.pool = [h for h in range(self.ell) if self.mate[h] < 0 and h != exclude]
-        self.pos = [-1] * self.ell
-        for j, h in enumerate(self.pool):
-            self.pos[h] = j
+        free = np.ones(self.ell, dtype=bool)
+        free[list(self.paired)] = False
+        free[exclude] = False
+        self.pool = np.flatnonzero(free)
+        self.pos = np.full(self.ell, -1)
+        self.pos[self.pool] = np.arange(self.pool.size)
 
     def _pool_remove(self, h: int) -> None:
-        if self.pool is None:
-            return
-        j = self.pos[h]
-        if j < 0:
+        if self.pool is None or self.pos[h] < 0:
             return
         last = self.pool[-1]
-        self.pool[j] = last
-        self.pos[last] = j
-        self.pool.pop()
+        self.pool[self.pos[h]] = last
+        self.pos[last] = self.pos[h]
         self.pos[h] = -1
+        self.pool = self.pool[:-1]
 
     def redraw(self, x: int) -> int:
         """Uniform unpaired label other than x."""
@@ -147,45 +161,30 @@ class _SharedMatching:
         else:
             self._pool_remove(x)
         j = int(self.rng.integers(0, len(self.pool)))
-        return self.pool[j]
+        return int(self.pool[j])
 
     def pair(self, x: int, y: int) -> None:
-        self.mate[x] = y
-        self.mate[y] = x
+        self.paired.add(x)
+        self.paired.add(y)
         self._pool_remove(x)
         self._pool_remove(y)
 
 
-def _step(sm: _SharedMatching, st: _RootState, budget: int) -> bool:
-    """Advance one root by one pairing; False when it has nothing to do."""
-    x = level = None
+def _step(sm: _SharedMatching, st: _RootState, budget: int) -> None:
+    """Advance one root by one pairing, or mark it exhausted."""
     while st.queue:
-        h, lev = st.queue.popleft()
-        if sm.mate[h] < 0:
-            x, level = h, lev
+        x, level = st.queue.popleft()
+        if x not in sm.paired:
             break
-    if x is None:
+    else:
         st.stopped = True
         st.exhausted = True
-        return False
-    st.last_popped_level = level
+        return
 
     y_raw = int(sm.rng.integers(0, sm.ell))
-    if st.bp_dead:
-        bp_children = None
-    else:
-        bp_children = sm.degrees[sm.owner[y_raw]] - 1
-        st.bp_remaining -= 1
-        st.bp_next += bp_children
-        if st.bp_remaining == 0:
-            if st.bp_next == 0:
-                st.bp_dead = True
-            else:
-                st.bp_gens.append(st.bp_next)
-                st.bp_remaining = st.bp_next
-                st.bp_next = 0
+    bp_children = st.bp_step(sm, y_raw)
 
-    if y_raw == x or sm.mate[y_raw] >= 0:
+    if y_raw == x or y_raw in sm.paired:
         event = EVENT_HALF_EDGE_REUSE
         st.he_reuses += 1
         y = sm.redraw(x)
@@ -194,7 +193,7 @@ def _step(sm: _SharedMatching, st: _RootState, budget: int) -> bool:
         event = EVENT_NONE
     sm.pair(x, y)
 
-    w = sm.owner[y]
+    w = sm.owner(y)
     if w in st.visited:
         if event == EVENT_NONE:
             event = EVENT_VERTEX_REUSE
@@ -205,7 +204,7 @@ def _step(sm: _SharedMatching, st: _RootState, budget: int) -> bool:
         while len(st.gen_counts) <= level:
             st.gen_counts.append(0)
         st.gen_counts[level] += 1
-        fresh = [h for h in sm.half_edges(w) if sm.mate[h] < 0]
+        fresh = [h for h in sm.half_edges(w) if h not in sm.paired]
         graph_children = len(fresh)
         st.queue.extend((h, level + 1) for h in fresh)
 
@@ -217,7 +216,6 @@ def _step(sm: _SharedMatching, st: _RootState, budget: int) -> bool:
 
     if len(st.visited) >= budget:
         st.stopped = True
-    return True
 
 
 def _finish(st: _RootState, budget: int) -> CouplingTrace:
@@ -227,7 +225,6 @@ def _finish(st: _RootState, budget: int) -> CouplingTrace:
         steps=tuple(st.steps),
         first_divergence=st.first_divergence,
         graph_generation_sizes=tuple(st.gen_counts),
-        graph_complete_through=st.last_popped_level,
         bp_generation_sizes=tuple(st.bp_gens),
         bp_next_partial=st.bp_next,
         bp_pending=0 if st.bp_dead else st.bp_remaining,
@@ -253,21 +250,14 @@ def _run(
     for r in roots:
         if not 0 <= r < seq.n:
             raise ValueError(f"root {r} out of range")
-    sm = _SharedMatching(seq.degrees, rng)
-    states = [
-        _RootState(r, sm.degrees[r], sm.half_edges(r)) for r in roots
-    ]
-    for st in states:
-        if len(st.visited) >= budget:
-            st.stopped = True
-    active = [st for st in states if not st.stopped]
+    sm = _SharedMatching(seq, rng)
+    states = [_RootState(r, sm.half_edges(r)) for r in roots]
+    # each root starts with one discovered vertex
+    active = states if budget > 1 else []
     while active:
-        nxt = []
         for st in active:
             _step(sm, st, budget)
-            if not st.stopped:
-                nxt.append(st)
-        active = nxt
+        active = [st for st in active if not st.stopped]
     if bp_follow_levels:
         for st in states:
             _follow_bp(sm, st, bp_follow_levels, bp_follow_cap)
@@ -283,16 +273,7 @@ def _follow_bp(
         and len(st.bp_gens) - 1 <= levels
         and sum(st.bp_gens) + st.bp_next <= cap
     ):
-        y = int(sm.rng.integers(0, sm.ell))
-        st.bp_remaining -= 1
-        st.bp_next += sm.degrees[sm.owner[y]] - 1
-        if st.bp_remaining == 0:
-            if st.bp_next == 0:
-                st.bp_dead = True
-            else:
-                st.bp_gens.append(st.bp_next)
-                st.bp_remaining = st.bp_next
-                st.bp_next = 0
+        st.bp_step(sm, int(sm.rng.integers(0, sm.ell)))
 
 
 def coupled_exploration(
@@ -410,8 +391,6 @@ def discrepancy_estimate(
             g = ggens[k] if k < len(ggens) else 0
             if k < len(bgens):
                 p = bgens[k]
-            elif trace.bp_pending == 0 and trace.bp_next_partial == 0:
-                p = 0
             else:
                 p = trace.bp_next_partial if k == len(bgens) else 0
             gap = abs(g - p)

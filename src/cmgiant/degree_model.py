@@ -70,15 +70,8 @@ class Pmf:
         m = self.mean()
         return self.second_moment() - m * m
 
-    def cdf(self, x: float) -> float:
-        """P(X <= x)."""
-        return float(sum(p for k, p in zip(self.support, self.probabilities) if k <= x))
-
     def min_value(self) -> int:
         return self.support[0]
-
-    def max_value(self) -> int:
-        return self.support[-1]
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         return rng.choice(np.array(self.support), size=n, p=np.array(self.probabilities))

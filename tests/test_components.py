@@ -66,7 +66,7 @@ def assert_matches_reference(g):
     sizes, labels, hists, edges = reference_decomposition(g)
     assert cs.sizes.tolist() == sizes
     assert np.array_equal(cs.labels, labels)
-    assert cs.per_cluster_degree_hist == hists
+    assert giant_statistics(cs, g.n).vk_frac == {d: c / g.n for d, c in hists[0].items()}
     assert cs.per_cluster_edges.tolist() == edges
     return cs
 
@@ -97,7 +97,6 @@ def test_shuffled_cycle_is_one_component():
     cs = assert_matches_reference(graph_from([2] * n, mate))
     assert cs.sizes.tolist() == [n]
     assert cs.per_cluster_edges.tolist() == [n]
-    assert cs.per_cluster_degree_hist == [{2: n}]
 
 
 def test_self_loops_and_parallel_edges():
@@ -108,7 +107,6 @@ def test_self_loops_and_parallel_edges():
     assert cs.sizes.tolist() == [2, 2, 1]
     assert cs.labels.tolist() == [2, 0, 0, 1, 1]
     assert cs.per_cluster_edges.tolist() == [3, 1, 1]
-    assert cs.per_cluster_degree_hist == [{2: 1, 4: 1}, {1: 2}, {2: 1}]
 
 
 def test_single_edge_component():
@@ -116,7 +114,6 @@ def test_single_edge_component():
     cs = component_decomposition(g)
     assert cs.sizes.tolist() == [2]
     assert cs.per_cluster_edges.tolist() == [1]
-    assert cs.per_cluster_degree_hist == [{1: 2}]
     assert cs.labels.tolist() == [0, 0]
 
 
@@ -133,7 +130,6 @@ def test_four_cycle():
     cs = component_decomposition(g)
     assert cs.sizes.tolist() == [4]
     assert cs.per_cluster_edges.tolist() == [4]
-    assert cs.per_cluster_degree_hist == [{2: 4}]
 
 
 def test_tie_break_goes_to_lowest_vertex():
@@ -270,10 +266,3 @@ def test_component_fuzz_bookkeeping(degrees, seed):
     # labels agree with sizes
     counted = np.bincount(cs.labels, minlength=cs.num_clusters)
     assert np.array_equal(counted, cs.sizes)
-    # per-cluster degree histograms add up to the global census
-    merged: dict[int, int] = {}
-    for hist in cs.per_cluster_degree_hist:
-        for d, c in hist.items():
-            merged[d] = merged.get(d, 0) + c
-    values, counts = np.unique(seq.degrees, return_counts=True)
-    assert merged == dict(zip(values.tolist(), counts.tolist()))
