@@ -6,7 +6,7 @@ describes them in the large-n limit, and measure giant-component sizes,
 typical distances, and coupling quality along the way.
 """
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 from .components import (
     ComponentSummary,
@@ -21,7 +21,6 @@ from .coupling import (
     CouplingTrace,
     coupled_exploration,
     coupled_pair_exploration,
-    discrepancy_estimate,
     reuse_bounds,
 )
 from .degree_model import (
@@ -87,7 +86,6 @@ __all__ = [
     "coupled_pair_exploration",
     "coupled_pairing",
     "disconnected_pair_fraction",
-    "discrepancy_estimate",
     "disjoint_union",
     "empirical_ball_distribution",
     "empirical_distribution",

@@ -240,8 +240,6 @@ def _run(
     roots: tuple[int, ...],
     budget: int,
     rng: np.random.Generator,
-    bp_follow_levels: int = 0,
-    bp_follow_cap: int = 0,
 ) -> list[CouplingTrace]:
     if budget < 1:
         raise ValueError("budget must be at least 1")
@@ -258,22 +256,7 @@ def _run(
         for st in active:
             _step(sm, st, budget)
         active = [st for st in active if not st.stopped]
-    if bp_follow_levels:
-        for st in states:
-            _follow_bp(sm, st, bp_follow_levels, bp_follow_cap)
     return [_finish(st, budget) for st in states]
-
-
-def _follow_bp(
-    sm: _SharedMatching, st: _RootState, levels: int, cap: int
-) -> None:
-    """Keep running the branching side alone after its graph run stopped."""
-    while (
-        not st.bp_dead
-        and len(st.bp_gens) - 1 <= levels
-        and sum(st.bp_gens) + st.bp_next <= cap
-    ):
-        st.bp_step(sm, int(sm.rng.integers(0, sm.ell)))
 
 
 def coupled_exploration(
@@ -323,88 +306,3 @@ def reuse_bounds(n: int, ell_n: int, d_max: int, m_n: int) -> ReuseBounds:
         vertex=m_n * m_n * d_max / ell_n,
     )
 
-
-@dataclass(frozen=True)
-class DiscrepancyEstimate:
-    """Violation rate of the generation-size comparison over many runs."""
-
-    violation_rate: float
-    violations: int
-    runs: int
-    threshold: float
-    budget: int
-    empirical_max_discrepancy: int
-
-
-def discrepancy_estimate(
-    seq: DegreeSequence,
-    b: int,
-    m_bar: int,
-    delta: float,
-    runs: int,
-    rng: np.random.Generator,
-) -> DiscrepancyEstimate:
-    """Fraction of coupled runs whose generation sizes separate too early.
-
-    Each run starts at a uniform root with budget (b + 1) * m_bar. The
-    boundary sizes of the graph ball are compared with the branching
-    generation sizes for every depth k up to the first depth where the ball
-    holds at least m_bar vertices (all recorded depths when the component
-    is smaller). A run is a violation when any compared depth differs by
-    more than (m_bar^2 / ell)^(1 + delta).
-
-    Degrees above b are rejected: the comparison is calibrated for
-    sequences already truncated at b.
-    """
-    if seq.max_degree > b:
-        raise ValueError("degree sequence exceeds the stated cutoff b")
-    if delta <= 0:
-        raise ValueError("delta must be positive")
-    if m_bar < 1 or runs < 1:
-        raise ValueError("m_bar and runs must be positive")
-    budget = (b + 1) * m_bar
-    ell = seq.total_degree
-    threshold = (m_bar * m_bar / ell) ** (1.0 + delta)
-    roots = rng.integers(0, seq.n, size=runs)
-    violations = 0
-    max_discrepancy = 0
-    for root in roots:
-        trace = _run(
-            seq,
-            (int(root),),
-            budget,
-            rng,
-            bp_follow_levels=64,
-            bp_follow_cap=budget,
-        )[0]
-        ggens = trace.graph_generation_sizes
-        cum = 0
-        k_bar = len(ggens) - 1
-        for k, c in enumerate(ggens):
-            cum += c
-            if cum >= m_bar:
-                k_bar = k
-                break
-        bgens = trace.bp_generation_sizes
-        bad = False
-        for k in range(1, k_bar + 1):
-            g = ggens[k] if k < len(ggens) else 0
-            if k < len(bgens):
-                p = bgens[k]
-            else:
-                p = trace.bp_next_partial if k == len(bgens) else 0
-            gap = abs(g - p)
-            if gap > max_discrepancy:
-                max_discrepancy = gap
-            if gap > threshold:
-                bad = True
-        if bad:
-            violations += 1
-    return DiscrepancyEstimate(
-        violation_rate=violations / runs,
-        violations=violations,
-        runs=runs,
-        threshold=threshold,
-        budget=budget,
-        empirical_max_discrepancy=max_discrepancy,
-    )

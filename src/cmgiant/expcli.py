@@ -92,15 +92,13 @@ class ExperimentConfig:
     sequence_path: str | None
     sizes: tuple[int, ...]
     seeds: tuple[int, ...]
-    k_values: tuple[int, ...] = (50,)
-    r_values: tuple[int, ...] = (2,)
-    b: int = 2
-    alpha: float = 0.6
-    delta: float = 0.1
-    m_exponent: float = 0.4
-    pairs: int = 1000
-    bp_samples: int = 100000
-    out_dir: str = "cmgiant_out"
+    k_values: tuple[int, ...]
+    r_values: tuple[int, ...]
+    b: int
+    m_exponent: float
+    pairs: int
+    bp_samples: int
+    out_dir: str
     # Built once at parse time, outside the config's identity: the degree law
     # (the pmf, or the empirical law of the loaded sequence, which every job
     # then uses as its degrees) and its offspring spec (None for all-degree-2).
@@ -317,19 +315,24 @@ def _write_histograms(cfg: ExperimentConfig, rows: list, written: list[str]) -> 
             writer.writerows([str(d), str(c)] for d, c in record["_histogram"])
 
 
-def _law_field(cfg: ExperimentConfig) -> str:
-    return "'pmf'" if cfg.sequence_path is None else "'sequence_path'"
+def _field(cfg: ExperimentConfig, name: str) -> str:
+    """The config field that set a value: name, or the sequence file that
+    sets both the degree law and the size."""
+    return repr(name) if cfg.sequence_path is None else "'sequence_path'"
 
 
 def _non_degenerate(cfg: ExperimentConfig) -> str | None:
     if cfg.spec is None:
-        return f"field {_law_field(cfg)}: {cfg.experiment} needs a non-degenerate degree law"
+        return f"field {_field(cfg, 'pmf')}: {cfg.experiment} needs a non-degenerate degree law"
     return None
 
 
-def _supercritical(cfg: ExperimentConfig) -> str | None:
+def _distance_scale(cfg: ExperimentConfig) -> str | None:
+    # the reference log(n) / log(nu) needs nu > 1 and n >= 3
     if cfg.spec is None or cfg.spec.nu <= 1.0:
-        return f"field {_law_field(cfg)}: {cfg.experiment} needs a supercritical degree law"
+        return f"field {_field(cfg, 'pmf')}: distances needs a supercritical degree law"
+    if min(cfg.sizes) < 3:
+        return f"field {_field(cfg, 'n')}: distances needs n >= 3"
     return None
 
 
@@ -366,7 +369,7 @@ REGISTRY = {
     "local_conv": Experiment(_local_conv, _giant_deg1_theory, requires=_non_degenerate),
     "coupling": Experiment(_coupling, _coupling_theory),
     "distances": Experiment(
-        _distances, _distances_theory, _write_histograms, requires=_supercritical
+        _distances, _distances_theory, _write_histograms, requires=_distance_scale
     ),
     "p2_demo": Experiment(_p2_demo),
     "truncation": Experiment(_truncation),
@@ -481,8 +484,6 @@ def config_from_dict(data: dict, source: str = "<config>") -> ExperimentConfig:
         k_values=_parse_int_list(data.get("k", [50]), "k"),
         r_values=_parse_int_list(data.get("r", [2]), "r"),
         b=_parse_int(data, "b", 2),
-        alpha=_parse_float(data, "alpha", 0.6),
-        delta=_parse_float(data, "delta", 0.1),
         m_exponent=_parse_float(data, "m_exponent", 0.4),
         pairs=_parse_int(data, "pairs", 1000),
         bp_samples=_parse_int(data, "bp_samples", 100000),
@@ -491,13 +492,8 @@ def config_from_dict(data: dict, source: str = "<config>") -> ExperimentConfig:
         sequence=sequence,
         spec=spec,
     )
-    for ok, message in (
-        (0 < cfg.m_exponent <= 1, "field 'm_exponent' must lie in (0, 1]"),
-        (0.5 < cfg.alpha < 1, "field 'alpha' must lie in (1/2, 1)"),
-        (cfg.delta > 0, "field 'delta' must be positive"),
-    ):
-        if not ok:
-            raise ConfigError(f"{source}: {message}")
+    if not 0 < cfg.m_exponent <= 1:
+        raise ConfigError(f"{source}: field 'm_exponent' must lie in (0, 1]")
     requires = REGISTRY[experiment].requires
     problem = requires(cfg) if requires else None
     if problem:

@@ -364,22 +364,6 @@ class Envelope:
 
     under: tuple[float, ...]
     over: tuple[float, ...]
-    alpha: float
-    b0: float
-    nu: float
-
-    def growth_constant(self) -> float:
-        """Truncated product A with over[K] <= A * b0 * nu**K.
-
-        A multiplies (1 + b0**(alpha-1) * nu**((alpha-1) k)) over the K
-        steps of the recursion; each factor dominates the relative growth
-        the correction term can add at its step.
-        """
-        steps = len(self.over) - 1
-        a = 1.0
-        for k in range(steps):
-            a *= 1.0 + self.b0 ** (self.alpha - 1.0) * self.nu ** ((self.alpha - 1.0) * k)
-        return a
 
 
 def envelope_recursion(b0: float, nu: float, alpha: float, K: int) -> Envelope:
@@ -405,6 +389,4 @@ def envelope_recursion(b0: float, nu: float, alpha: float, K: int) -> Envelope:
         bump = over[-1] ** alpha
         over.append(nu * over[-1] + bump)
         under.append(nu * under[-1] - bump)
-    return Envelope(
-        under=tuple(under), over=tuple(over), alpha=alpha, b0=float(b0), nu=float(nu)
-    )
+    return Envelope(under=tuple(under), over=tuple(over))

@@ -12,7 +12,6 @@ from cmgiant import (
     Pmf,
     coupled_exploration,
     coupled_pair_exploration,
-    discrepancy_estimate,
     reuse_bounds,
     sample_iid_degrees,
 )
@@ -217,39 +216,6 @@ def test_two_root_bp_totals_match_single_root_law():
     assert stats.ks_2samp(paired, singles).pvalue > 0.001
 
 
-def test_discrepancy_estimate_trivial_sequence():
-    seq = DegreeSequence(np.ones(400, dtype=np.int64))
-    est = discrepancy_estimate(seq, 1, 5, 0.1, 40, np.random.default_rng(3))
-    assert est.violations == 0
-    assert est.violation_rate == 0.0
-    assert est.empirical_max_discrepancy == 0
-    assert est.budget == 10
-    assert est.runs == 40
-
-
-def test_discrepancy_estimate_validation():
-    seq = DegreeSequence(np.array([1, 3, 3, 1]))
-    rng = np.random.default_rng(0)
-    with pytest.raises(ValueError):
-        discrepancy_estimate(seq, 2, 5, 0.1, 10, rng)  # degree above cutoff
-    with pytest.raises(ValueError):
-        discrepancy_estimate(seq, 3, 5, 0.0, 10, rng)
-    with pytest.raises(ValueError):
-        discrepancy_estimate(seq, 3, 0, 0.1, 10, rng)
-    with pytest.raises(ValueError):
-        discrepancy_estimate(seq, 3, 5, 0.1, 0, rng)
-
-
-def test_discrepancy_estimate_mixture_smoke(mixture_seq):
-    est = discrepancy_estimate(mixture_seq, 3, 40, 0.1, 50, np.random.default_rng(6))
-    assert 0.0 <= est.violation_rate <= 1.0
-    assert est.threshold == pytest.approx(
-        (40 * 40 / mixture_seq.total_degree) ** 1.1
-    )
-    assert est.budget == 160
-    assert 0 <= est.empirical_max_discrepancy <= est.budget
-
-
 # Every field a trace records; repr keeps the steps and the value types.
 TRACE_FIELDS = (
     "root",
@@ -297,18 +263,9 @@ def _two_root_runs():
     return [_fields(t) for t in traces], rng
 
 
-def _discrepancy_runs():
-    rng = np.random.default_rng(2026)
-    seq = sample_iid_degrees(MIXTURE, 400, rng)
-    est = discrepancy_estimate(seq, 3, 10, 0.1, 60, rng)
-    assert est.violations > 0
-    return [est], rng
-
-
 PINNED_TRACES = {
     _single_root_runs: "15c5e9723438982467efab1a1342523ba5f323133231e4a32103eb3dc641a9d7",
     _two_root_runs: "36872495382758c67d066f3a5d527181e0c80c5bde75c090fd085fb168ff17dc",
-    _discrepancy_runs: "c276c66648720658991a4ad2dbe605f7b57b7dd03ce29a0594e832c98173af71",
 }
 
 

@@ -116,6 +116,38 @@ def test_config_hash_tracks_content():
     assert a.sha256() == c.sha256()
 
 
+# each settable key: an experiment that reads it and a value other than its default
+KEY_PROBES = {
+    "pmf": ("giant", {"1": 0.4, "3": 0.6}),
+    "sequence_path": ("giant", "degrees.txt"),
+    "n": ("giant", [400]),
+    "seeds": ("giant", [1]),
+    "k": ("structure", [5]),
+    "r": ("almost_local", [1]),
+    "b": ("truncation", 3),
+    "m_exponent": ("coupling", 0.6),
+    "pairs": ("distances", 50),
+    "bp_samples": ("local_conv", 2000),
+}
+
+
+def test_every_config_key_changes_an_output(tmp_path, monkeypatch):
+    # a key that changes no output is a knob nothing reads
+    assert set(KEY_PROBES) == expcli._KNOWN_KEYS - {"experiment", "out_dir"}
+    monkeypatch.chdir(tmp_path)
+    DegreeSequence(np.full(300, 3)).save("degrees.txt")
+
+    def outputs(experiment, out, **overrides):
+        data = {"experiment": experiment, "n": [300], "seeds": [0], "out_dir": out}
+        assert run_experiment(config_from_dict({**data, **overrides})) == 0
+        return [read(os.path.join(out, name)) for name in ("results.jsonl", "summary.csv")]
+
+    for key, (experiment, value) in KEY_PROBES.items():
+        default = outputs(experiment, f"{key}_default")
+        changed = outputs(experiment, f"{key}_changed", **{key: value})
+        assert default != changed, key
+
+
 def test_derive_rng_streams():
     first = derive_rng(7, 1).integers(0, 10**9, size=4)
     again = derive_rng(7, 1).integers(0, 10**9, size=4)
@@ -176,7 +208,7 @@ def test_reruns_are_byte_identical(tmp_path):
 
 
 # Every experiment at two sizes and two seeds. The digests below pin the bytes
-# these runs write with library 0.3.0: a change that alters any of them changes
+# these runs write with library 0.4.0: a change that alters any of them changes
 # the outputs and must say so.
 PINNED_CONFIGS = {
     "giant": {},
@@ -192,32 +224,32 @@ PINNED_CONFIGS = {
 
 OUTPUT_SHA256 = {
     "giant": {
-        "manifest.json": "902a7ca9b691fe90fb2adad70f8d275e75ea706691f38b9ad6dc94da5f79c3bc",
+        "manifest.json": "d28ae8cce35f43c3134744b0aa0986400f570738fa1aa7037455e325c26913cd",
         "results.jsonl": "3326c1e8634be55befae8e3931171c096eae36fe163121820bacd55997833c25",
         "summary.csv": "984cc8fedf29adc5c93af2f743a2f5e58ab287d6c90415befa2a2f0efded3692",
     },
     "structure": {
-        "manifest.json": "b51da5d3d60ed5ae97d2dae3c50577ece8d3019b77c103a7d850c2eeb48624bc",
+        "manifest.json": "80f97061f073398b4528c51bd2cd80299fd501943ed62a8407b9ed1f05272c70",
         "results.jsonl": "50b1295429ca0c1c43ec1f4c44f894022d1334afb09829dc1536f4bec0f8779c",
         "summary.csv": "f93d87a717fef963a2f00c87ee6e29e5805217504ac6c0dd04018e5417328d8a",
     },
     "almost_local": {
-        "manifest.json": "f6bc716a7c0ae39c2b2edbbc54bdf2ff31a3962d9a3d1b65068903e3688674cb",
+        "manifest.json": "f29ffd41e9f2138bad080b39e485511ce815bb533371a51264cb0e2dd0de2249",
         "results.jsonl": "3f9517f97399de8b6378c98eeb1815948c618ea9a28d68b06920dbd468f615ac",
         "summary.csv": "8d1834bc5a0cbea6f5c52735894b1a35aa2dcca71174c7f931974d9607739fed",
     },
     "necessity_demo": {
-        "manifest.json": "fc4b4ed6197e39e7d45a053fb39a9877196434e580f309d7bf704763b3072982",
+        "manifest.json": "67d685f725c332671fbe54b44cecc72bfbd60ff25263f19c6755c93d8e4fe649",
         "results.jsonl": "9b5e2bb66c903aca34dcfc85dda99bd3f16d974d28b5ef647e17eb79882aab75",
         "summary.csv": "19ae558736ea922612007c42df491bbf9a07dfedffd460cacb716049d74cf043",
     },
     "local_conv": {
-        "manifest.json": "b26b17d15f4b083b842fb469949d4197450f7d3b04b065b4367cbfd7da19315c",
+        "manifest.json": "0a428b712b49ba809834b32240dea9bd2a9bcc59e3382062f0225fe1a6bea05a",
         "results.jsonl": "9303c12e3ea1b5a281fd37af3b59fa19b93c339dda30ef107d91550eae53bd1d",
         "summary.csv": "436bba30d7d00570d0ad67d055769d4ce5bf319703d197a0da29a939bdb22c6a",
     },
     "coupling": {
-        "manifest.json": "0ef78c3bdb104a5d982567eb6fd5597ca11891b7fb8eaf90633ade761f13048d",
+        "manifest.json": "9a539a8ab7a149336a291b2f429b7fa6216be38f2b5f8cac2ee8fc58194f492b",
         "results.jsonl": "b427854fb7932b9c232a2dd79af2bf9350d813a135f1a61156bdd2f83055647d",
         "summary.csv": "98c7686580501062ffe7ec28916bfd2dd7b37296f4fa6f9e86baf3c0759a82a5",
     },
@@ -226,17 +258,17 @@ OUTPUT_SHA256 = {
         "distances_hist_n300_seed1.csv": "f046c978a2a0f4db402236275832dcfdd7274efcde7596fc2ca3832303bb5660",
         "distances_hist_n500_seed0.csv": "e27c757a3d55f3120b07075568582527cb51c1134429958e574c5f8477b99436",
         "distances_hist_n500_seed1.csv": "c81609af2461f7e33edfb2dac4eb8e440d7ae670a66f1ed0b0435c69f22440ca",
-        "manifest.json": "2f34023b608ca1ac33ab0011553d578aa3d16cd6fcd6fca3199838da55dd7c8a",
+        "manifest.json": "22ced6cbcd3f1e3d93278a2f577466a9c4c48a01616725a2e829add831826fcd",
         "results.jsonl": "96768f247b539b20c2f31c4991f7fae515b4443b6564f9daf083e92fb13e3101",
         "summary.csv": "6405fd2e92c28bd7901e480268931e0806addd44ab7f68cd63bd12e0149b5821",
     },
     "p2_demo": {
-        "manifest.json": "7548e0666fe153c7d968ee92d5b65d812e24feeca3d807b49138a16526acf9f3",
+        "manifest.json": "d006864b3994c4089b3acc765b0a8df1865d2f0611facee3dbbaa5ea424e1307",
         "results.jsonl": "8ec648946419466aae5a45abeaee70959d8e959ee8c1461901daad588887f4b5",
         "summary.csv": "4a406e519cd46a4df0e6d253d72bbe8cc298aac1e92e17e77afc9e5d94998e8a",
     },
     "truncation": {
-        "manifest.json": "b1f06340d04450ccd41a2e3b02ca73674b9386165d157fe005ea35922f6d0d31",
+        "manifest.json": "cd7f9c6e5c7af7a2f5d8e5bd1318b7ece1d9be91388b12d24cd441e3a7bd9181",
         "results.jsonl": "479e6c7aa47ed002a32025b51b77749d35ebce5b7c1238f808a54ddfdb2da379",
         "summary.csv": "4adf94748f52948837eaff69eb87138aaba0a0f92a601624287e4cdd37606985",
     },
@@ -582,15 +614,26 @@ def test_main_malformed_field_exits_two_naming_it(tmp_path, capsys, field, value
         (["local_conv"], {"pmf": {"2": 1.0}}, "pmf"),
         (["distances"], {"pmf": {"1": 0.9, "2": 0.1}}, "pmf"),
         (["distances"], {"sequence_path": "degrees.txt"}, "sequence_path"),
+        (["distances", "--n", "2"], {}, "n"),
+        (["distances"], {"sequence_path": "two.txt"}, "sequence_path"),
         (["necessity_demo", "--n", "1"], {}, "n"),
         (["necessity_demo"], {"sequence_path": "degrees.txt"}, "sequence_path"),
     ],
-    ids=["degree-two-law", "subcritical-pmf", "subcritical-sequence", "n-below-two", "halves-from-sequence"],
+    ids=[
+        "degree-two-law",
+        "subcritical-pmf",
+        "subcritical-sequence",
+        "distances-n-below-three",
+        "distances-sequence-below-three",
+        "n-below-two",
+        "halves-from-sequence",
+    ],
 )
 def test_main_unsuited_config_exits_two_naming_it(tmp_path, monkeypatch, capsys, argv, config, field):
     # checked when the config is parsed, before any job runs
     monkeypatch.chdir(tmp_path)
     DegreeSequence(np.array([1, 1, 2, 2])).save("degrees.txt")  # subcritical law
+    DegreeSequence(np.array([3, 3])).save("two.txt")  # supercritical, n = 2
     with open("cfg.json", "w") as fh:
         json.dump({"n": [400], "seeds": [0], **config}, fh)
     assert main([*argv, "--config", "cfg.json", "--out", "out"]) == 2

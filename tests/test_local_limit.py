@@ -324,15 +324,19 @@ def test_envelope_first_step():
     assert env.over[0] == env.under[0] == 10.0
 
 
+def growth_product(b0, nu, alpha, K):
+    """A = prod_{k<K} (1 + (b0 nu^k)^(alpha-1)), so over[K] <= A b0 nu^K."""
+    product = 1.0
+    for k in range(K):
+        product *= 1.0 + (b0 * nu**k) ** (alpha - 1.0)
+    return product
+
+
 def test_envelope_ordering_and_growth_bound():
     env = envelope_recursion(50, 1.5, 0.6, 15)
     for lo, hi in zip(env.under, env.over):
         assert lo <= hi
-    a = env.growth_constant()
-    product = 1.0
-    for k in range(15):
-        product *= 1.0 + 50 ** (0.6 - 1.0) * 1.5 ** ((0.6 - 1.0) * k)
-    assert a == pytest.approx(product)
+    a = growth_product(50, 1.5, 0.6, 15)
     for k, hi in enumerate(env.over):
         assert hi <= a * 50 * 1.5**k + 1e-9
 
@@ -359,7 +363,7 @@ def test_envelope_validation():
 def test_envelope_fuzz_sandwich(b0, nu, alpha, K):
     env = envelope_recursion(b0, nu, alpha, K)
     assert len(env.over) == K + 1
-    a = env.growth_constant()
+    a = growth_product(b0, nu, alpha, K)
     for k in range(K + 1):
         assert env.under[k] <= env.over[k]
         assert env.over[k] <= a * b0 * nu**k * (1 + 1e-12)
