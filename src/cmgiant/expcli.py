@@ -432,6 +432,8 @@ def _parse_law(
     sets, the loaded sequence (or None) and the law's offspring spec."""
     sequence_path = data.get("sequence_path")
     if sequence_path is not None:
+        if "pmf" in data:
+            raise ConfigError(f"{source}: field 'pmf' cannot be set with 'sequence_path'")
         if not isinstance(sequence_path, str):
             raise ConfigError(f"{source}: field 'sequence_path' must be a string")
         if not os.path.exists(sequence_path):

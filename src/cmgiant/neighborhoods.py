@@ -31,15 +31,16 @@ any width, always get an exact code.
 The two censuses rank whole levels of trees at once with AHU's level step,
 on arrays, and build the AHU string once per distinct class:
 
-- Graph side. A tree test walks every non-backtracking half-edge path of
-  length r + 1 or less from every root and sorts the (root, endpoint) keys
-  once; a key that repeats with a walk of r steps or less marks a cycle,
-  self-loop or multi-edge in the ball. A tree root's class then comes from
-  r - 1 rounds of per-half-edge messages: a half-edge's class names the
-  tree hanging from its far end, and each round ranks the sorted classes of
-  the far vertex's other half-edges. Only cyclic roots, and roots with more
-  than cap walks of length r or less (a tree ball has exactly that many
-  vertices), fall back to canonical_ball, one root at a time.
+- Graph side. A tree test takes the sorted (root, endpoint, length) keys
+  of every non-backtracking walk of length r + 1 or less from every root,
+  from the walk enumerator in traversal; a key that repeats with a walk of
+  r steps or less marks a cycle, self-loop or multi-edge in the ball. A
+  tree root's class then comes from r - 1 rounds of per-half-edge
+  messages: a half-edge's class names the tree hanging from its far end,
+  and each round ranks the sorted classes of the far vertex's other
+  half-edges. Only cyclic roots, and roots with more than cap walks of
+  length r or less (a tree ball has exactly that many vertices), fall back
+  to canonical_ball, one root at a time.
 - Branching-process side. Draws come from a root and a child buffer on one
   generator, each refilled with one rng.choice call and read from its end,
   exactly as a tree grown breadth first, one node at a time, would take
@@ -64,6 +65,7 @@ import numpy as np
 from .components import ComponentSummary
 from .graph_build import HalfEdgeGraph
 from .local_limit import OffspringSpec
+from .traversal import _WALK_BUDGET, _ragged, _walk_counts, _walk_keys
 
 DEFAULT_BALL_CAP = 1000
 CLASS_CAP = 8
@@ -72,8 +74,6 @@ _DRAW_CHUNK = 1 << 18  # draws per buffer refill of the branching-process census
 # The censuses work in pieces of a few 1e4 array entries: the allocator keeps
 # the heap of the largest piece, which is what peak RSS then measures.
 _BATCH_TREES = 1 << 12  # trees ranked together
-_WALK_BUDGET = 1 << 15  # walks per chunk of roots in the tree test
-_WALK_CLIP = 1 << 30  # walk counts saturate here, far above any cap
 
 
 @dataclass(frozen=True)
@@ -358,13 +358,6 @@ def _sorted_runs(values: np.ndarray, lengths: np.ndarray):
     return values[perm], where
 
 
-def _ragged(starts: np.ndarray, lengths: np.ndarray):
-    """Row and value of every entry of the ranges starts[i] .. starts[i] + lengths[i] - 1."""
-    row = np.repeat(np.arange(lengths.size), lengths)
-    offset = starts - (np.cumsum(lengths) - lengths)
-    return row, np.arange(row.size) + np.repeat(offset, lengths)
-
-
 def _child_rows(classes: np.ndarray, counts: np.ndarray) -> _Rows:
     """Rows of consecutive children: row i holds the next counts[i] classes."""
     vals, _ = _sorted_runs(classes, counts)
@@ -409,33 +402,16 @@ def _tally(counts: dict, ids: np.ndarray, codes: list) -> dict:
 def _cyclic(g: HalfEdgeGraph, roots: np.ndarray, r: int, cost: np.ndarray) -> np.ndarray:
     """Which roots have a cycle, self-loop or multi-edge in their radius-r ball.
 
-    Every non-backtracking half-edge walk of length r + 1 or less from a root
-    becomes a (root, endpoint, length) key, and the keys are sorted once. In
-    a tree ball the walks of length r or less reach distinct vertices and
-    the walks of length r + 1 leave the ball, so a root is cyclic exactly
-    when a (root, endpoint) pair repeats and the shorter walk has length r or
-    less. Roots go in chunks of about _WALK_BUDGET walks (cost per root).
+    In a tree ball the non-backtracking walks of length r or less reach
+    distinct vertices and the walks of length r + 1 leave the ball, so a
+    root is cyclic exactly when the walk keys of length r + 1 or less
+    (cost per root) repeat a (root, endpoint) pair whose shorter walk has
+    length r or less.
     """
-    n, offsets, mate, owner = g.n, g.offsets, g.mate, g.owner
     cyclic = np.zeros(roots.size, dtype=bool)
-    bound = np.cumsum(cost)
-    lo = 0
-    while lo < roots.size:
-        hi = int(np.searchsorted(bound, bound[lo] - cost[lo] + _WALK_BUDGET, "right"))
-        hi = max(hi, lo + 1)
-        who = np.arange(hi - lo)
-        at, came = roots[lo:hi], np.full(hi - lo, -1)
-        keys = [(who * n + at) * (r + 2)]
-        for length in range(1, r + 2):
-            row, out = _ragged(offsets[at], offsets[at + 1] - offsets[at])
-            keep = out != came[row]
-            who, came = who[row[keep]], mate[out[keep]]
-            at = owner[came]
-            keys.append((who * n + at) * (r + 2) + length)
-        pair, length = np.divmod(np.sort(np.concatenate(keys)), r + 2)
+    for lo, _, pair, length in _walk_keys(g, roots, r + 1, cost, _WALK_BUDGET):
         twice = (pair[1:] == pair[:-1]) & (length[:-1] <= r)
-        cyclic[lo + pair[1:][twice] // n] = True
-        lo = hi
+        cyclic[lo + pair[1:][twice] // g.n] = True
     return cyclic
 
 
@@ -444,17 +420,8 @@ def _ball_classes(g: HalfEdgeGraph, r: int, cap: int) -> tuple[np.ndarray, list[
     n, offsets, mate = g.n, g.offsets, g.mate
     degree = np.diff(offsets)
     far = g.owner[mate]
-    # walks[v]: non-backtracking walks of length r or less from v, the empty
-    # walk included, which is the vertex count of a tree ball; step[v] counts
-    # those of the next length, out_walks[x] those that start along x
-    walks = np.ones(n, dtype=np.int64)
-    step = degree.copy()
-    out_walks = np.ones(mate.size, dtype=np.int64)
-    for _ in range(r):
-        walks += step
-        out_walks = np.minimum(step[far] - out_walks[mate], _WALK_CLIP)
-        total = np.concatenate(([0], np.cumsum(out_walks)))
-        step = total[offsets[1:]] - total[offsets[:-1]]
+    # a tree ball has as many vertices as its root has walks of length r or less
+    walks, step = _walk_counts(g, r)
     small = np.flatnonzero(walks <= cap)
     tree = small[~_cyclic(g, small, r, walks[small] + step[small])]
 

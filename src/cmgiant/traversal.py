@@ -1,8 +1,15 @@
-"""Breadth-first primitives shared by the statistics modules.
+"""Graph walks shared by the statistics modules.
 
-All loops run over the flat adjacency lists cached on the graph, with an
-integer stamp array instead of per-call visited sets so that sweeping every
-vertex of a large graph stays cheap.
+Non-backtracking walks, on arrays. A walk leaves each vertex by any
+half-edge but the one it came in on, so it may turn round a self-loop or a
+parallel edge but not step straight back. _walk_counts counts the walks from
+every vertex with a per-half-edge recurrence, and _walk_keys lists them, a
+chunk of roots at a time, as sorted (root, endpoint, length) keys.
+boundary_counts reads distances off those keys, and the graph-side ball
+census (neighborhoods) reads cycles off them.
+
+pair_distance is a bidirectional breadth-first search over the flat Python
+adjacency lists cached on the graph, with a dict of distances per side.
 """
 from __future__ import annotations
 
@@ -10,31 +17,106 @@ import numpy as np
 
 from .graph_build import HalfEdgeGraph
 
+# Walk keys come in pieces of a few 1e4 entries: the allocator keeps the heap
+# of the largest piece, which is what peak RSS then measures.
+_WALK_BUDGET = 1 << 15  # walks per chunk of roots
+_WALK_CLIP = 1 << 30  # walk counts saturate here
+
+
+def _ragged(starts: np.ndarray, lengths: np.ndarray):
+    """Row and value of every entry of the ranges starts[i] .. starts[i] + lengths[i] - 1."""
+    row = np.repeat(np.arange(lengths.size), lengths)
+    offset = starts - (np.cumsum(lengths) - lengths)
+    return row, np.arange(row.size) + np.repeat(offset, lengths)
+
+
+def _walk_counts(g: HalfEdgeGraph, r: int) -> tuple[np.ndarray, np.ndarray]:
+    """Non-backtracking walks from every vertex: those of length r or less,
+    the empty walk included, and those of length r + 1.
+
+    A walk that starts along half-edge x goes on along any other half-edge
+    of x's far end, so the walks of each length along x are the far end's
+    walks one step shorter, less those that start back along mate[x].
+    Counts saturate: one of _WALK_CLIP or more is only a lower bound.
+    """
+    n, offsets, mate = g.n, g.offsets, g.mate
+    far = g.owner[mate]
+    walks = np.ones(n, dtype=np.int64)
+    step = np.diff(offsets)
+    out_walks = np.ones(mate.size, dtype=np.int64)
+    for _ in range(r):
+        walks += step
+        out_walks = np.minimum(step[far] - out_walks[mate], _WALK_CLIP)
+        total = np.concatenate(([0], np.cumsum(out_walks)))
+        step = total[offsets[1:]] - total[offsets[:-1]]
+    return walks, step
+
+
+def _walk_keys(g: HalfEdgeGraph, roots: np.ndarray, depth: int, cost: np.ndarray, budget: int):
+    """Sorted keys of the non-backtracking walks of length depth or less.
+
+    Roots go in consecutive chunks roots[lo:hi] of about budget walks, at
+    least one root each, where roots[i] has cost[i] walks. Each chunk
+    yields lo, hi and two arrays: a walk of length l from roots[lo + i] to
+    vertex w is the entry pair = i * n + w, length = l, and the entries are
+    sorted by pair, then length.
+    """
+    n, offsets, mate, owner = g.n, g.offsets, g.mate, g.owner
+    bound = np.cumsum(cost)
+    lo = 0
+    while lo < roots.size:
+        hi = int(np.searchsorted(bound, bound[lo] - cost[lo] + budget, "right"))
+        hi = max(hi, lo + 1)
+        who = np.arange(hi - lo)
+        at, came = roots[lo:hi], np.full(hi - lo, -1)
+        keys = [(who * n + at) * (depth + 1)]
+        for length in range(1, depth + 1):
+            row, out = _ragged(offsets[at], offsets[at + 1] - offsets[at])
+            keep = out != came[row]
+            who, came = who[row[keep]], mate[out[keep]]
+            at = owner[came]
+            keys.append((who * n + at) * (depth + 1) + length)
+        pair, length = np.divmod(np.sort(np.concatenate(keys)), depth + 1)
+        yield lo, hi, pair, length
+        lo = hi
+
 
 def boundary_counts(g: HalfEdgeGraph, r: int) -> np.ndarray:
-    """|∂B_r(v)| for every vertex v: the number of vertices at distance exactly r."""
-    n = g.n
-    offsets, nbr = g.adjacency()
-    out = np.zeros(n, dtype=np.int64)
-    if r == 0:
-        out[:] = 1
-        return out
-    mark = [-1] * n
-    for v in range(n):
-        mark[v] = v
-        frontier = [v]
-        depth = 0
-        while frontier and depth < r:
-            nxt = []
-            for u in frontier:
-                for i in range(offsets[u], offsets[u + 1]):
-                    w = nbr[i]
-                    if mark[w] != v:
-                        mark[w] = v
-                        nxt.append(w)
-            frontier = nxt
-            depth += 1
-        out[v] = len(frontier)
+    """|∂B_r(v)| for every vertex v: the number of vertices at distance exactly r.
+
+    A shortest path is a non-backtracking walk, so d(v, w) is the length of
+    the shortest non-backtracking walk from v to w. _walk_keys sorts the
+    keys of every such walk of length r or less, and v's boundary is the
+    number of its endpoints whose first key has length r. A root with more
+    walks than g has half-edges, more than a breadth-first search from it
+    can touch, gets that search instead.
+    """
+    walks, _ = _walk_counts(g, r)
+    out = np.empty(g.n, dtype=np.int64)
+    # counts at _WALK_CLIP or more are saturated, so the bound stays below it
+    few = walks <= min(g.num_half_edges, _WALK_CLIP - 1)
+    roots = np.flatnonzero(few)
+    for lo, hi, pair, length in _walk_keys(g, roots, r, walks[roots], _WALK_BUDGET):
+        first = np.ones(pair.size, dtype=bool)
+        first[1:] = pair[1:] != pair[:-1]
+        out[roots[lo:hi]] = np.bincount(pair[first & (length == r)] // g.n, minlength=hi - lo)
+    rest = np.flatnonzero(~few).tolist()
+    if rest:
+        offsets, nbr = g.adjacency()
+        mark = [-1] * g.n
+        for v in rest:
+            mark[v] = v
+            frontier = [v]
+            for _ in range(r):
+                nxt = []
+                for u in frontier:
+                    for i in range(offsets[u], offsets[u + 1]):
+                        w = nbr[i]
+                        if mark[w] != v:
+                            mark[w] = v
+                            nxt.append(w)
+                frontier = nxt
+            out[v] = len(frontier)
     return out
 
 

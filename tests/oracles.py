@@ -24,6 +24,11 @@ def distances_from(g, v: int) -> np.ndarray:
     return dist
 
 
+def boundary_counts_bfs(g, r: int) -> np.ndarray:
+    """|∂B_r(v)| for every vertex v, counted from single-source distances."""
+    return np.array([int(np.sum(distances_from(g, v) == r)) for v in range(g.n)], dtype=np.int64)
+
+
 def tree_code(children: list[list[int]], stubs) -> bytes:
     """AHU string of the stub-labelled tree rooted at 0.
 

@@ -1,4 +1,6 @@
+import time
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,7 +17,8 @@ from cmgiant import (
     pair_half_edges,
     sum_squares_ratio,
 )
-from oracles import distances_from
+from cmgiant import traversal
+from oracles import boundary_counts_bfs, distances_from
 from strategies import degree_lists
 
 
@@ -225,6 +228,27 @@ def test_boundary_pair_fraction_two_cycles():
     assert boundary_pair_fraction(g, cs, 2) == pytest.approx(
         2 * 100 * 100 / (200 * 200)
     )
+
+
+@given(degree_lists(), st.integers(0, 8), st.integers(1, 200), st.integers(0, 2**32 - 1))
+def test_boundary_counts_match_bfs(degrees, r, budget, seed):
+    # dense small multigraphs at large r pass the half-edge bound on walks,
+    # so both the walk keys and the per-root search run; a small walk budget
+    # splits the roots into many chunks
+    g = pair_half_edges(DegreeSequence(np.array(degrees)), np.random.default_rng(seed))
+    with mock.patch.object(traversal, "_WALK_BUDGET", budget):
+        counts = traversal.boundary_counts(g, r)
+    assert np.array_equal(counts, boundary_counts_bfs(g, r))
+
+
+def test_boundary_counts_past_the_walk_explosion():
+    # 7^40 non-backtracking walks of length 40 from each root: every root
+    # takes the per-root search
+    g = pair_half_edges(DegreeSequence(np.full(8, 8)), np.random.default_rng(5))
+    start = time.perf_counter()
+    counts = traversal.boundary_counts(g, 40)
+    assert time.perf_counter() - start < 0.5
+    assert np.array_equal(counts, boundary_counts_bfs(g, 40))
 
 
 @given(degree_lists(max_n=25), st.integers(1, 4), st.integers(0, 2**32 - 1))

@@ -618,6 +618,7 @@ def test_main_malformed_field_exits_two_naming_it(tmp_path, capsys, field, value
         (["distances"], {"sequence_path": "two.txt"}, "sequence_path"),
         (["necessity_demo", "--n", "1"], {}, "n"),
         (["necessity_demo"], {"sequence_path": "degrees.txt"}, "sequence_path"),
+        (["giant"], {"sequence_path": "two.txt", "pmf": {"1": 0.5, "3": 0.5}}, "pmf"),
     ],
     ids=[
         "degree-two-law",
@@ -627,6 +628,7 @@ def test_main_malformed_field_exits_two_naming_it(tmp_path, capsys, field, value
         "distances-sequence-below-three",
         "n-below-two",
         "halves-from-sequence",
+        "pmf-with-sequence",
     ],
 )
 def test_main_unsuited_config_exits_two_naming_it(tmp_path, monkeypatch, capsys, argv, config, field):
