@@ -226,12 +226,13 @@ def _coupling(job: Job) -> dict:
 def _distances(job: Job) -> dict:
     g = job.graph
     ds = sample_distances(g, job.cfg.pairs, derive_rng(job.seed, STREAM_ANALYSIS))
-    rep = scaling_report(ds, g.n, job.cfg.spec.nu)
+    # with no connected pair sampled, the distance statistics are NaN
+    rep = scaling_report(ds, g.n, job.cfg.spec.nu) if ds.finite_distances else None
     return {
-        "mean_finite": rep.mean_finite,
-        "mean_ratio": rep.mean_ratio,
-        "median_ratio": rep.median_ratio,
-        "finite_fraction": rep.finite_fraction,
+        "mean_finite": rep.mean_finite if rep else math.nan,
+        "mean_ratio": rep.mean_ratio if rep else math.nan,
+        "median_ratio": rep.median_ratio if rep else math.nan,
+        "finite_fraction": ds.finite_fraction,
         "_histogram": sorted(Counter(ds.finite_distances).items()),
     }
 

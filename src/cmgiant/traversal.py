@@ -9,7 +9,8 @@ boundary_counts reads distances off those keys, and the graph-side ball
 census (neighborhoods) reads cycles off them.
 
 pair_distance is a bidirectional breadth-first search over the flat Python
-adjacency lists cached on the graph, with a dict of distances per side.
+adjacency lists cached on the graph, with a set of visited vertices per side;
+it stops at the first vertex where the two sides meet.
 """
 from __future__ import annotations
 
@@ -123,43 +124,33 @@ def boundary_counts(g: HalfEdgeGraph, r: int) -> np.ndarray:
 def pair_distance(g: HalfEdgeGraph, a: int, b: int) -> int | None:
     """Graph distance between a and b, or None when they are disconnected.
 
-    Bidirectional search: grows the smaller frontier, so pairs in the same
-    well-connected component meet after exploring far fewer vertices than a
-    one-sided sweep.
+    Bidirectional search: each level grows the smaller frontier, so pairs in
+    the same well-connected component meet after exploring far fewer vertices
+    than a one-sided sweep. The first meeting vertex gives the distance, the
+    number of levels grown so far. Say side S grows to depth d_S while side O
+    stands at depth d_O, and S meets a vertex w that O has reached. Had O
+    reached w below depth d_O, it would have expanded w and so either met S
+    at w's neighbour on S's frontier a level sooner or stamped that neighbour
+    as its own, which it is not. So w sits at depth d_O from O, and every
+    meeting vertex of the level gives the same total d_S + d_O.
     """
     if a == b:
         return 0
     offsets, nbr = g.adjacency()
-    dist_a = {a: 0}
-    dist_b = {b: 0}
-    frontier_a = [a]
-    frontier_b = [b]
-    depth_a = depth_b = 0
-    while frontier_a and frontier_b:
-        if len(frontier_a) <= len(frontier_b):
-            frontier, dist_here, dist_other = frontier_a, dist_a, dist_b
-            depth_a += 1
-            depth_new = depth_a
-        else:
-            frontier, dist_here, dist_other = frontier_b, dist_b, dist_a
-            depth_b += 1
-            depth_new = depth_b
+    grow, wait = [a], [b]
+    seen_grow, seen_wait = {a}, {b}
+    levels = 0
+    while grow and wait:
+        if len(grow) > len(wait):
+            grow, wait, seen_grow, seen_wait = wait, grow, seen_wait, seen_grow
+        levels += 1
         nxt = []
-        best = None
-        for u in frontier:
-            for i in range(offsets[u], offsets[u + 1]):
-                w = nbr[i]
-                if w in dist_other:
-                    total = depth_new + dist_other[w]
-                    if best is None or total < best:
-                        best = total
-                if w not in dist_here:
-                    dist_here[w] = depth_new
+        for u in grow:
+            for w in nbr[offsets[u] : offsets[u + 1]]:
+                if w not in seen_grow:
+                    if w in seen_wait:
+                        return levels
+                    seen_grow.add(w)
                     nxt.append(w)
-        if best is not None:
-            return best
-        if frontier is frontier_a:
-            frontier_a = nxt
-        else:
-            frontier_b = nxt
+        grow = nxt
     return None

@@ -5,7 +5,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cmgiant import DegreeSequence, pair_half_edges, sample_distances, scaling_report
+from cmgiant import (
+    DegreeSequence,
+    Pmf,
+    pair_half_edges,
+    sample_distances,
+    sample_iid_degrees,
+    scaling_report,
+)
 from cmgiant.distances import DistanceSample
 from cmgiant.traversal import pair_distance
 from oracles import distances_from
@@ -44,6 +51,41 @@ def test_pair_distance_fuzz_against_bfs(degrees, seed):
                 assert d == int(truth[b])
             assert d == pair_distance(g, b, a)
 
+
+
+def test_pair_distance_on_two_paths_with_loop_and_parallel_edge():
+    # a=0 and b=1 are joined by 0-2-3-1 (length 3) and 0-4-5-6-1 (length 4);
+    # 2-3, where the two searches from 0 and 1 meet, is a double edge, and 6,
+    # on the frontier that finds the meeting, carries a self-loop.
+    #   half-edges: 0: 0 1 | 1: 2 3 | 2: 4 5 6 | 3: 7 8 9 | 4: 10 11
+    #               5: 12 13 | 6: 14 15 16 17
+    g = graph_from(
+        [2, 2, 3, 3, 2, 2, 4],
+        [4, 10, 7, 14, 0, 8, 9, 2, 5, 6, 1, 12, 11, 15, 3, 13, 17, 16],
+    )
+    assert pair_distance(g, 0, 1) == pair_distance(g, 1, 0) == 3
+    assert pair_distance(g, 2, 6) == pair_distance(g, 6, 2) == 3
+    for a in range(g.n):
+        truth = distances_from(g, a)
+        for b in range(g.n):
+            assert pair_distance(g, a, b) == pair_distance(g, b, a) == int(truth[b])
+
+
+def test_pair_distance_matches_bfs_on_sampled_pairs():
+    # uniform pairs as sample_distances draws them, on a law with hubs and
+    # many leaves, so the two sides often grow unevenly
+    rng = np.random.default_rng(31)
+    seq = sample_iid_degrees(Pmf.from_dict({1: 0.4, 4: 0.3, 10: 0.3}), 3000, rng)
+    g = pair_half_edges(seq, rng)
+    a = rng.integers(0, g.n, size=300).tolist()
+    b = rng.integers(0, g.n, size=300).tolist()
+    connected = 0
+    for u, v in zip(a, b):
+        truth = int(distances_from(g, u)[v])
+        expected = None if truth < 0 else truth
+        connected += expected is not None
+        assert pair_distance(g, u, v) == pair_distance(g, v, u) == expected
+    assert 0 < connected < 300
 
 def test_sample_distances_perfect_matching():
     seq = DegreeSequence(np.ones(100, dtype=np.int64))

@@ -530,6 +530,22 @@ def test_necessity_demo_halves_the_giant(tmp_path):
     assert "theory_half_zeta" in header
 
 
+
+def test_main_distances_with_no_connected_pair(tmp_path, capsys):
+    config_path = tmp_path / "d.json"
+    config_path.write_text(json.dumps({"pmf": {"1": 0.5, "3": 0.5}, "pairs": 1, "n": [5], "seeds": [1]}))
+    out = tmp_path / "D"
+    assert main(["distances", "--config", str(config_path), "--out", str(out)]) == 0
+    assert capsys.readouterr().out.strip() == str(out / "summary.csv")
+    (record,) = [json.loads(line) for line in (out / "results.jsonl").read_text().splitlines()]
+    assert record["finite_fraction"] == 0.0
+    for name in ("mean_finite", "mean_ratio", "median_ratio"):
+        assert np.isnan(record[name])
+    assert (out / "distances_hist_n5_seed1.csv").read_text().splitlines()[1:] == ["distance,count"]
+    header, row = (out / "summary.csv").read_text().splitlines()
+    assert dict(zip(header.split(","), row.split(",")))["mean_finite_mean"] == "nan"
+    assert (out / "manifest.json").exists()
+
 def test_main_runs_and_prints_summary_path(tmp_path, capsys):
     out = str(tmp_path / "cli_out")
     code = main(["giant", "--n", "400", "--seeds", "2", "--out", out])
