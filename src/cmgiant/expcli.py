@@ -554,6 +554,10 @@ def _write_summary(path: str, cfg: ExperimentConfig, rows: list[tuple[int, int, 
             row = [str(n), str(len(records))]
             for name in metric_names:
                 values = np.array([float(r[name]) for r in records])
+                # a seed with nothing to measure (NaN) drops out, unless all do
+                finite = values[np.isfinite(values)]
+                if finite.size:
+                    values = finite
                 mean = float(values.mean())
                 std = float(values.std(ddof=1)) if len(values) > 1 else 0.0
                 row += [repr(mean), repr(std)]

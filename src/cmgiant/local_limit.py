@@ -67,12 +67,20 @@ class OffspringSpec:
 
     @cached_property
     def _arrays(self) -> tuple[np.ndarray, ...]:
-        """Root support and cdf (normalized as rng.choice does), forward
-        support and probabilities; built once per spec."""
-        cdf = np.cumsum(self.root_pmf.probabilities)
-        cdf /= cdf[-1]
-        child = self.shifted_pmf
-        return np.array(self.root_pmf.support), cdf, np.array(child.support), np.array(child.probabilities)
+        """Root support and cdf, forward support, probabilities and cdf; built
+        once per spec. Each cdf is normalized as rng.choice normalizes it, for
+        _choice."""
+
+        def cdf(probabilities):
+            out = np.cumsum(probabilities)
+            out /= out[-1]
+            return out
+
+        root, child = self.root_pmf, self.shifted_pmf
+        return (
+            np.array(root.support), cdf(root.probabilities),
+            np.array(child.support), np.array(child.probabilities), cdf(child.probabilities),
+        )
 
 
 def _generating_function(pmf: Pmf, x: float) -> float:
@@ -163,16 +171,21 @@ def _truncated_poly_power_sum(pmf: Pmf, h: np.ndarray, size: int) -> np.ndarray:
     return out
 
 
+def _choice(support: np.ndarray, cdf: np.ndarray, uniforms):
+    """The values rng.choice(support, p=...) draws from these rng.random uniforms."""
+    return support[cdf.searchsorted(uniforms, side="right")]
+
+
 def _draw_roots(spec: OffspringSpec, rng: np.random.Generator, size: int | None = None):
     """Root child counts, consuming rng as rng.choice(support, size, p=probs) would."""
-    support, cdf, _, _ = spec._arrays
-    return support[cdf.searchsorted(rng.random(size), side="right")]
+    support, cdf = spec._arrays[:2]
+    return _choice(support, cdf, rng.random(size))
 
 
 def _next_generation(spec: OffspringSpec, rng: np.random.Generator, gen):
     """Children of `gen` forward individuals: an int, or an int64 array of one
     generation per tree, drawn in index order."""
-    _, _, support, probs = spec._arrays
+    support, probs = spec._arrays[2:4]
     return rng.multinomial(gen, probs) @ support
 
 

@@ -41,14 +41,17 @@ on arrays, and build the AHU string once per distinct class:
   half-edges. Only cyclic roots, and roots with more than cap walks of
   length r or less (a tree ball has exactly that many vertices), fall back
   to canonical_ball, one root at a time.
-- Branching-process side. Draws come from a root and a child buffer on one
-  generator, each refilled with one rng.choice call and read from its end,
-  exactly as a tree grown breadth first, one node at a time, would take
-  them. Tree t's child draws are one contiguous run that starts where tree
-  t - 1's run ended, and level j + 1 of a tree has as many nodes as its
-  level-j draws add up to, so a scan over prefix sums finds each tree's run
-  and where it overflows the cap; the nodes of each level are then ranked
-  across all trees at once.
+- Branching-process side. The census consumes its generator as a root and
+  a child buffer would, each refilled with one rng.choice call and read from
+  its end, exactly as a tree grown breadth first, one node at a time, would
+  take them; but it draws only a refill's uniforms and turns them into
+  support values, by rng.choice's rule, as it reaches them. Tree t's child
+  draws are one contiguous run that starts where tree t - 1's run ended,
+  and level j + 1 of a tree has as many nodes as its level-j draws add up
+  to, so a scan over prefix sums finds each tree's run and where it
+  overflows the cap (at radius 1 or less, one prefix sum over the root
+  draws finds them all); the nodes of each level are then ranked across all
+  trees at once.
 
 Both sides give every tree the bytes canonical_code gives it, so the two
 sides of a comparison share one code space.
@@ -64,13 +67,14 @@ import numpy as np
 
 from .components import ComponentSummary
 from .graph_build import HalfEdgeGraph
-from .local_limit import OffspringSpec
+from .local_limit import OffspringSpec, _choice
 from .traversal import _WALK_BUDGET, _ragged, _walk_counts, _walk_keys
 
 DEFAULT_BALL_CAP = 1000
 CLASS_CAP = 8
 _OVERSIZE = b"!oversize"
 _DRAW_CHUNK = 1 << 18  # draws per buffer refill of the branching-process census
+_DRAW_PIECE = 1 << 15  # child draws it converts from a refill's uniforms at a time
 # The censuses work in pieces of a few 1e4 array entries: the allocator keeps
 # the heap of the largest piece, which is what peak RSS then measures.
 _BATCH_TREES = 1 << 12  # trees ranked together
@@ -510,9 +514,21 @@ def _scan(roots, t: int, stop: int, prefix, i: int, r: int, cap: int, starts, ov
     or takes no child draw when the root's do. Each tree's run start goes to
     starts and its overflow to over. Returns the first tree whose run passes
     the draws at hand (stop when all fit) and the start of its run.
+
+    At r <= 1 a run is the root's c draws, or none, so one prefix sum lays
+    out all the trees; deeper runs depend on where the previous one ended
+    and are found one tree at a time.
     """
-    if not r:
-        return stop, i
+    if r <= 1:
+        run = roots[t:stop].astype(np.int64) * r
+        if r:
+            over[t:stop] = run >= cap  # 1 + c nodes pass cap
+            run[over[t:stop]] = 0
+        ends = i + np.cumsum(run)
+        fit = int(ends.searchsorted(prefix.size - 1, side="right"))
+        starts[t : t + fit] = ends[:fit] - run[:fit]
+        return t + fit, int(ends[fit - 1]) if fit else i
+    roots, prefix, starts, over = map(memoryview, (roots, prefix, starts, over))
     end = len(prefix) - 1
     for t in range(t, stop):
         c = roots[t]
@@ -522,7 +538,7 @@ def _scan(roots, t: int, stop: int, prefix, i: int, r: int, cap: int, starts, ov
             hi = i
         else:
             for _ in range(r - 1):
-                # an overflow among the draws at hand needs no refill
+                # an overflow among the draws at hand needs no more draws
                 seen = hi if hi <= end else end
                 more = prefix[seen] - prefix[lo]
                 if size + more > cap:
@@ -580,40 +596,42 @@ def bp_ball_distribution(
     an isomorphic graph ball share one code. Trees that would exceed cap
     nodes count as oversize.
 
-    Draws come from two buffers on rng, root and child, each refilled with
-    one rng.choice call of _DRAW_CHUNK draws and read from its end, when a
-    tree grown breadth-first node by node would first need a draw from it.
-    _scan lays the trees along the child draws, and each stretch of trees
-    between two refills is ranked at once.
+    rng is consumed as two buffers, root and child, each refilled with one
+    rng.choice call of _DRAW_CHUNK draws and read from its end, when a tree
+    grown breadth-first node by node would first need a draw from it. Only
+    the uniforms of those calls are drawn at a refill; they become support
+    values by rng.choice's own rule (local_limit._choice) when read: the
+    roots of the trees wanted, and the child draws _DRAW_PIECE at a time as
+    _scan lays the trees along them. Each stretch of trees laid out between
+    two conversions is ranked at once.
     """
-
-    def refill(pmf) -> np.ndarray:
-        support = np.array(pmf.support, dtype=np.int64)
-        drawn = rng.choice(support, size=_DRAW_CHUNK, p=np.array(pmf.probabilities))
-        return drawn[::-1].astype(np.min_scalar_type(pmf.support[-1]))
-
+    root_support, root_cdf, child_support, _, child_cdf = spec._arrays
+    # the smallest dtype that holds every draw keeps the piece arrays small
+    dtype = np.min_scalar_type(int(root_support[-1]))
+    root_support, child_support = root_support.astype(dtype), child_support.astype(dtype)
     counts: dict[CanonicalBall, int] = {}
-    # child draws from the current tree on; a refill keeps the chunk's dtype
-    draws = np.zeros(0, dtype=np.uint8)
+    unread = np.zeros(0)  # child uniforms not yet converted, in draw order
+    # converted child draws from the current tree on
+    draws = np.zeros(0, dtype=dtype)
     prefix = np.zeros(1, dtype=np.int64)
     i = done = 0
     while done < samples:
-        roots = refill(spec.root_pmf)
-        stop = min(roots.size, samples - done)
+        stop = min(_DRAW_CHUNK, samples - done)
+        roots = _choice(root_support, root_cdf, rng.random(_DRAW_CHUNK)[::-1][:stop])
         starts = np.zeros(stop, dtype=np.int64)
         over = np.zeros(stop, dtype=bool)
         t = 0
         while t < stop:
-            u, i = _scan(
-                memoryview(roots), t, stop, memoryview(prefix), i, r, cap,
-                memoryview(starts), memoryview(over),
-            )
+            u, i = _scan(roots, t, stop, prefix, i, r, cap, starts, over)
             for a in range(t, u, _BATCH_TREES):
                 b = min(u, a + _BATCH_TREES)
                 ids, codes = _tree_classes(roots[a:b], starts[a:b], over[a:b], draws, prefix, r)
                 _tally(counts, ids, codes)
             if u < stop:
-                draws = np.concatenate((draws[i:], refill(spec.shifted_pmf)))
+                if not unread.size:
+                    unread = rng.random(_DRAW_CHUNK)[::-1]
+                piece, unread = unread[:_DRAW_PIECE], unread[_DRAW_PIECE:]
+                draws = np.concatenate((draws[i:], _choice(child_support, child_cdf, piece)))
                 prefix = np.zeros(draws.size + 1, dtype=np.int64)
                 np.cumsum(draws, out=prefix[1:])
                 i = 0

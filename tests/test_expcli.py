@@ -546,6 +546,23 @@ def test_main_distances_with_no_connected_pair(tmp_path, capsys):
     assert dict(zip(header.split(","), row.split(",")))["mean_finite_mean"] == "nan"
     assert (out / "manifest.json").exists()
 
+
+def test_summary_averages_the_seeds_with_finite_values(tmp_path):
+    # seed 1 samples no connected pair, seed 3 one pair at distance 1
+    config_path = tmp_path / "d.json"
+    config_path.write_text(json.dumps({"pmf": {"1": 0.5, "3": 0.5}, "pairs": 1, "n": [5], "seeds": [1, 3]}))
+    out = tmp_path / "D"
+    assert main(["distances", "--config", str(config_path), "--out", str(out)]) == 0
+    records = [json.loads(line) for line in (out / "results.jsonl").read_text().splitlines()]
+    assert [r["seed"] for r in records] == [1, 3]
+    assert np.isnan(records[0]["mean_finite"]) and records[1]["mean_finite"] == 1.0
+    header, row = (out / "summary.csv").read_text().splitlines()
+    summary = dict(zip(header.split(","), row.split(",")))
+    assert summary["seeds"] == "2"
+    assert (summary["mean_finite_mean"], summary["mean_finite_std"]) == ("1.0", "0.0")
+    assert summary["finite_fraction_mean"] == "0.5"
+
+
 def test_main_runs_and_prints_summary_path(tmp_path, capsys):
     out = str(tmp_path / "cli_out")
     code = main(["giant", "--n", "400", "--seeds", "2", "--out", out])

@@ -570,11 +570,22 @@ def bp_digest(dist) -> str:
         ({1: 0.5, 3: 0.5}, 1, 2**18 + 5000, 12, 1000, "bf9323ed62454bfbdc53a25b0d04b29687c091429f492730e5c6973ffdeee9e0"),
         # about a third of the trees overflow the cap, the rest do not
         (DENSE, 2, 3000, 13, 40, "c2e0b86930e89f3a947c79e555e1ed704c824cc25d4fd3e94c5154b2d7b1b10d"),
+        # no child draws at all
+        (DENSE, 0, 5000, 14, 1000, "9a0e31155eef9b3c5c6bdbb520a12608b2dc42cd599ec3ff5fb1951059dfefcd"),
+        # degree-10 roots overflow at the root and take no child draw
+        (DENSE, 1, 5000, 15, 5, "f476e9344f32aad86a801b30bdcf0de3cfe6fbb00d8817d2e1a5aaae9a5cd86b"),
+        # local_conv's size: the child buffer is only partly read
+        ({1: 0.5, 3: 0.5}, 1, 25_000, 16, 1000, "b1310f9c47fb9608d22b4ac9319bc81ff53ba697a40f4e5754be2265ed9540c6"),
+        ({1: 0.5, 3: 0.5}, 2, 25_000, 16, 1000, "55261f449e531597565a7eec57776499bba04fbfe3404f7259a14e056f333fb2"),
     ],
-    ids=["child_refill", "root_refill", "partial_cap"],
+    ids=[
+        "child_refill", "root_refill", "partial_cap",
+        "radius_zero", "root_overflow", "partial_chunk_r1", "partial_chunk_r2",
+    ],
 )
 def test_bp_stream_is_pinned(law, r, samples, seed, cap, digest):
     # digests recorded from the per-tree breadth-first census of library 0.3.0
+    # (first three) and from the rng.choice buffers of library 0.4.0 (the rest)
     spec = build_offspring_spec(Pmf.from_dict(law))
     dist = bp_ball_distribution(spec, r, samples, np.random.default_rng(seed), cap=cap)
     assert bp_digest(dist) == digest
@@ -599,6 +610,32 @@ def test_bp_census_matches_per_tree_oracle(law, r, cap, samples, chunk, batch, s
         dist = bp_ball_distribution(spec, r, samples, np.random.default_rng(seed), cap=cap)
     assert dist == expected
     assert list(dist) == list(expected)
+
+
+@given(
+    pmf_dicts(),
+    st.integers(0, 3),
+    st.integers(1, 40),
+    st.integers(1, 300),
+    st.integers(1, 64),
+    st.integers(1, 16),
+    st.integers(1, 64),
+    st.integers(0, 2**32 - 1),
+)
+def test_bp_census_converts_draws_in_pieces(law, r, cap, samples, chunk, piece, batch, seed):
+    # pieces shorter than a refill make conversions land mid-tree and right
+    # after a node whose children overflow the cap, with and without a refill
+    # in between; the generator must end where the per-tree census leaves it
+    spec = build_offspring_spec(Pmf.from_dict(law))
+    ref, mine = np.random.default_rng(seed), np.random.default_rng(seed)
+    expected = bp_ball_census(spec, r, samples, ref, cap, chunk)
+    with mock.patch.multiple(
+        neighborhoods, _DRAW_CHUNK=chunk, _DRAW_PIECE=piece, _BATCH_TREES=batch
+    ):
+        dist = bp_ball_distribution(spec, r, samples, mine, cap=cap)
+    assert dist == expected
+    assert list(dist) == list(expected)
+    assert mine.random() == ref.random()
 
 
 def test_tv_against_bp_shrinks_with_n(mixture_pmf, mixture_spec):
