@@ -391,10 +391,12 @@ def _parse_seeds(value) -> tuple[int, ...]:
             raise ConfigError("field 'seeds': count must be at least 1")
         return tuple(range(value))
     if isinstance(value, list) and value and all(
-        isinstance(s, int) and not isinstance(s, bool) for s in value
+        isinstance(s, int) and not isinstance(s, bool) and s >= 0 for s in value
     ):
         return tuple(value)
-    raise ConfigError("field 'seeds': expected an integer count or a list of integers")
+    raise ConfigError(
+        "field 'seeds': expected an integer count or a list of non-negative integers"
+    )
 
 
 def _is_integral(value) -> bool:

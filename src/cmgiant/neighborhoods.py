@@ -41,17 +41,11 @@ on arrays, and build the AHU string once per distinct class:
   half-edges. Only cyclic roots, and roots with more than cap walks of
   length r or less (a tree ball has exactly that many vertices), fall back
   to canonical_ball, one root at a time.
-- Branching-process side. The census consumes its generator as a root and
-  a child buffer would, each refilled with one rng.choice call and read from
-  its end, exactly as a tree grown breadth first, one node at a time, would
-  take them; but it draws only a refill's uniforms and turns them into
-  support values, by rng.choice's rule, as it reaches them. Tree t's child
-  draws are one contiguous run that starts where tree t - 1's run ended,
-  and level j + 1 of a tree has as many nodes as its level-j draws add up
-  to, so a scan over prefix sums finds each tree's run and where it
-  overflows the cap (at radius 1 or less, one prefix sum over the root
-  draws finds them all); the nodes of each level are then ranked across all
-  trees at once.
+- Branching-process side. Trees grow in batches, level by level: one
+  generator call draws the root child counts of a batch, and one per depth
+  the child counts of the nodes at that depth, for the trees still within
+  cap. A level's counts give each of its nodes a row of the next level's
+  classes, so the levels are ranked from the deepest up, as drawn.
 
 Both sides give every tree the bytes canonical_code gives it, so the two
 sides of a comparison share one code space.
@@ -59,7 +53,6 @@ sides of a comparison share one code space.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
 
@@ -68,16 +61,14 @@ import numpy as np
 from .components import ComponentSummary
 from .graph_build import HalfEdgeGraph
 from .local_limit import OffspringSpec, _choice
-from .traversal import _WALK_BUDGET, _ragged, _walk_counts, _walk_keys
+from .traversal import _WALK_BUDGET, _walk_counts, _walk_keys
 
 DEFAULT_BALL_CAP = 1000
 CLASS_CAP = 8
 _OVERSIZE = b"!oversize"
-_DRAW_CHUNK = 1 << 18  # draws per buffer refill of the branching-process census
-_DRAW_PIECE = 1 << 15  # child draws it converts from a refill's uniforms at a time
 # The censuses work in pieces of a few 1e4 array entries: the allocator keeps
 # the heap of the largest piece, which is what peak RSS then measures.
-_BATCH_TREES = 1 << 12  # trees ranked together
+_BATCH_NODES = 1 << 15  # tree nodes a branching-process batch holds, about
 
 
 @dataclass(frozen=True)
@@ -504,81 +495,11 @@ def restricted_ball_distribution(
     )
 
 
-def _scan(roots, t: int, stop: int, prefix, i: int, r: int, cap: int, starts, over):
-    """Lay trees t .. stop - 1 of a root chunk along the child draw stream.
-
-    A tree takes its child draws as one run from draw i on, in breadth-first
-    order: its c root children first, then as many nodes at each next level
-    as the draws of the level before add up to (prefix sums). A tree whose
-    nodes would pass cap ends its run at the node whose children overflow,
-    or takes no child draw when the root's do. Each tree's run start goes to
-    starts and its overflow to over. Returns the first tree whose run passes
-    the draws at hand (stop when all fit) and the start of its run.
-
-    At r <= 1 a run is the root's c draws, or none, so one prefix sum lays
-    out all the trees; deeper runs depend on where the previous one ended
-    and are found one tree at a time.
-    """
-    if r <= 1:
-        run = roots[t:stop].astype(np.int64) * r
-        if r:
-            over[t:stop] = run >= cap  # 1 + c nodes pass cap
-            run[over[t:stop]] = 0
-        ends = i + np.cumsum(run)
-        fit = int(ends.searchsorted(prefix.size - 1, side="right"))
-        starts[t : t + fit] = ends[:fit] - run[:fit]
-        return t + fit, int(ends[fit - 1]) if fit else i
-    roots, prefix, starts, over = map(memoryview, (roots, prefix, starts, over))
-    end = len(prefix) - 1
-    for t in range(t, stop):
-        c = roots[t]
-        lo, hi, size = i, i + c, 1 + c
-        if size > cap:
-            over[t] = True
-            hi = i
-        else:
-            for _ in range(r - 1):
-                # an overflow among the draws at hand needs no more draws
-                seen = hi if hi <= end else end
-                more = prefix[seen] - prefix[lo]
-                if size + more > cap:
-                    hi = bisect_right(prefix, prefix[lo] + cap - size, lo + 1, seen + 1)
-                    over[t] = True
-                    break
-                if hi > end:
-                    return t, i
-                lo, hi, size = hi, hi + more, size + more
-            if hi > end:
-                return t, i
-        starts[t] = i
-        i = hi
-    return stop, i
-
-
-def _tree_classes(roots, starts, over, draws, prefix, r: int):
-    """Class ids and codes of scanned trees; oversize trees share the last id.
-
-    The nodes of each level are gathered across all trees at once, and the
-    levels are ranked from depth r up.
-    """
-    fit = ~over
-    top = roots[fit].astype(np.int64)
-    levels: list[_Rows] = []
-    if r:
-        begin, size, spans = starts[fit], top, []
-        for _ in range(r):
-            spans.append(_ragged(begin, size)[1])
-            begin, size = begin + size, prefix[begin + size] - prefix[begin]
-        classes = draws[spans.pop()]
-        for span in reversed(spans):
-            levels.append(_child_rows(classes, draws[span].astype(np.int64)))
-            classes = levels[-1].classes
-        levels.append(_child_rows(classes, top))
-        top = levels[-1].classes
-    fit_ids, codes = _encode(levels, top)
-    ids = np.full(over.size, len(codes))
-    ids[fit] = fit_ids
-    return ids, codes + [OVERSIZE_BALL]
+def _batch_trees(spec: OffspringSpec, r: int, cap: int) -> int:
+    """Trees per batch of the branching-process census: about _BATCH_NODES
+    nodes within depth r, counting at most cap per tree."""
+    nodes = 1 + spec.root_pmf.mean() * sum(spec.nu**j for j in range(r))
+    return max(1, int(_BATCH_NODES // min(cap, nodes)))
 
 
 def bp_ball_distribution(
@@ -593,50 +514,47 @@ def bp_ball_distribution(
     Nodes at depth r draw their child count but keep it as a stub mark, the
     exact analogue of a graph vertex on the ball's boundary. Trees are coded
     by the AHU rule that canonical_code applies to tree balls, so a tree and
-    an isomorphic graph ball share one code. Trees that would exceed cap
-    nodes count as oversize.
+    an isomorphic graph ball share one code. Trees of more than cap nodes
+    within depth r count as oversize.
 
-    rng is consumed as two buffers, root and child, each refilled with one
-    rng.choice call of _DRAW_CHUNK draws and read from its end, when a tree
-    grown breadth-first node by node would first need a draw from it. Only
-    the uniforms of those calls are drawn at a refill; they become support
-    values by rng.choice's own rule (local_limit._choice) when read: the
-    roots of the trees wanted, and the child draws _DRAW_PIECE at a time as
-    _scan lays the trees along them. Each stretch of trees laid out between
-    two conversions is ranked at once.
+    Trees grow in batches, level by level. A batch makes one rng.random call
+    for its roots, then one per depth d = 1 .. r for the child counts of the
+    depth-d nodes of its trees still within cap, in (tree, parent, child)
+    order; local_limit._choice turns each uniform into a support value. A
+    tree whose nodes within depth d pass cap is oversize and draws nothing
+    more. The levels of a batch are then ranked from depth r up.
     """
     root_support, root_cdf, child_support, _, child_cdf = spec._arrays
-    # the smallest dtype that holds every draw keeps the piece arrays small
-    dtype = np.min_scalar_type(int(root_support[-1]))
-    root_support, child_support = root_support.astype(dtype), child_support.astype(dtype)
+    batch = _batch_trees(spec, r, cap)
     counts: dict[CanonicalBall, int] = {}
-    unread = np.zeros(0)  # child uniforms not yet converted, in draw order
-    # converted child draws from the current tree on
-    draws = np.zeros(0, dtype=dtype)
-    prefix = np.zeros(1, dtype=np.int64)
-    i = done = 0
-    while done < samples:
-        stop = min(_DRAW_CHUNK, samples - done)
-        roots = _choice(root_support, root_cdf, rng.random(_DRAW_CHUNK)[::-1][:stop])
-        starts = np.zeros(stop, dtype=np.int64)
-        over = np.zeros(stop, dtype=bool)
-        t = 0
-        while t < stop:
-            u, i = _scan(roots, t, stop, prefix, i, r, cap, starts, over)
-            for a in range(t, u, _BATCH_TREES):
-                b = min(u, a + _BATCH_TREES)
-                ids, codes = _tree_classes(roots[a:b], starts[a:b], over[a:b], draws, prefix, r)
-                _tally(counts, ids, codes)
-            if u < stop:
-                if not unread.size:
-                    unread = rng.random(_DRAW_CHUNK)[::-1]
-                piece, unread = unread[:_DRAW_PIECE], unread[_DRAW_PIECE:]
-                draws = np.concatenate((draws[i:], _choice(child_support, child_cdf, piece)))
-                prefix = np.zeros(draws.size + 1, dtype=np.int64)
-                np.cumsum(draws, out=prefix[1:])
-                i = 0
-            t = u
-        done += stop
+    for done in range(0, samples, batch):
+        size = min(batch, samples - done)
+        # levels[d] holds the child counts of the depth-d nodes; the last
+        # level of an oversize tree counts no children, so each level's
+        # counts add up to the next level's length
+        levels = [_choice(root_support, root_cdf, rng.random(size))]
+        over = np.zeros(size, dtype=bool)
+        nodes = np.ones(size, dtype=np.int64)  # within depth d, per tree
+        width = np.ones(size, dtype=np.int64)  # depth-d nodes, per tree
+        for _ in range(r):
+            # each tree's children: the counts of its width nodes, summed
+            ends = np.cumsum(np.concatenate(([0], levels[-1])))[np.cumsum(width)]
+            kids = np.diff(ends, prepend=0)
+            nodes += kids
+            over = nodes > cap
+            levels[-1][np.repeat(over, width)] = 0
+            width = np.where(over, 0, kids)
+            levels.append(_choice(child_support, child_cdf, rng.random(int(width.sum()))))
+        rows: list[_Rows] = []
+        classes = levels.pop()
+        while levels:
+            rows.append(_child_rows(classes, levels.pop()))
+            classes = rows[-1].classes
+        fit = ~over
+        fit_ids, codes = _encode(rows, classes[fit])
+        ids = np.full(size, len(codes))
+        ids[fit] = fit_ids
+        _tally(counts, ids, codes + [OVERSIZE_BALL])
     return {code: c / samples for code, c in counts.items()}
 
 

@@ -53,47 +53,45 @@ def ball_census(g, r: int, cap: int, labels=None):
     return masses if labels is not None else masses[0]
 
 
-def bp_ball_census(spec, r: int, samples: int, rng, cap: int, chunk: int = 1 << 18):
-    """The branching-process census grown one tree at a time, breadth first.
+def bp_ball_census(spec, r: int, samples: int, rng, cap: int, batch: int):
+    """The branching-process census grown one tree and one level at a time.
 
-    Root and child draws come from two buffers on rng, each refilled with one
-    rng.choice call of chunk draws when empty and popped from its end.
+    Each batch of batch trees draws its root counts with one rng.choice call,
+    then, per depth d = 1 .. r, the counts of the depth-d nodes of its trees
+    still within cap nodes, tree by tree and parent by parent.
     """
 
-    def buffer(pmf):
-        support = np.array(pmf.support, dtype=np.int64)
-        probs = np.array(pmf.probabilities)
-        held: list[int] = []
+    def draw(pmf, size: int) -> list[int]:
+        return rng.choice(np.array(pmf.support), size=size, p=pmf.probabilities).tolist()
 
-        def take() -> int:
-            if not held:
-                held.extend(rng.choice(support, size=chunk, p=probs).tolist())
-            return held.pop()
-
-        return take
-
-    root_draw, child_draw = buffer(spec.root_pmf), buffer(spec.shifted_pmf)
     counts: dict[bytes, int] = {}
-    for _ in range(samples):
-        depth, stub, children = [0], [0], [[]]
-        oversize = False
-        queue = deque([0])
-        while queue and not oversize:
-            u = queue.popleft()
-            c = root_draw() if u == 0 else child_draw()
-            if depth[u] == r:
-                stub[u] = c
-                continue
-            for _ in range(c):
-                if len(depth) == cap:
-                    oversize = True
-                    break
-                w = len(depth)
-                depth.append(depth[u] + 1)
-                stub.append(0)
-                children.append([])
-                children[u].append(w)
-                queue.append(w)
-        code = OVERSIZE_BALL.code if oversize else b"T" + tree_code(children, stub)
-        counts[code] = counts.get(code, 0) + 1
+    for done in range(0, samples, batch):
+        trees = []  # per tree: child lists, stubs, last level's nodes
+        for c in draw(spec.root_pmf, min(batch, samples - done)):
+            trees.append(([[]], [c], [0]))
+        alive = list(trees)
+        for _ in range(r):
+            grown = []
+            for children, stubs, level in alive:
+                nodes = len(stubs) + sum(stubs[u] for u in level)
+                if nodes > cap:
+                    stubs.clear()  # oversize
+                    continue
+                grown.append((children, stubs, level))
+            alive = grown
+            wanted = sum(stubs[u] for _, stubs, level in alive for u in level)
+            it = iter(draw(spec.shifted_pmf, wanted))
+            for children, stubs, level in alive:
+                new = []
+                for u in level:
+                    for _ in range(stubs[u]):
+                        children[u].append(len(stubs))
+                        new.append(len(stubs))
+                        children.append([])
+                        stubs.append(next(it))
+                    stubs[u] = 0
+                level[:] = new
+        for children, stubs, _ in trees:
+            code = b"T" + tree_code(children, stubs) if stubs else OVERSIZE_BALL.code
+            counts[code] = counts.get(code, 0) + 1
     return {CanonicalBall(code): c / samples for code, c in counts.items()}

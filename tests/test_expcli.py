@@ -208,7 +208,7 @@ def test_reruns_are_byte_identical(tmp_path):
 
 
 # Every experiment at two sizes and two seeds. The digests below pin the bytes
-# these runs write with library 0.4.0: a change that alters any of them changes
+# these runs write with library 0.5.0: a change that alters any of them changes
 # the outputs and must say so.
 PINNED_CONFIGS = {
     "giant": {},
@@ -224,32 +224,32 @@ PINNED_CONFIGS = {
 
 OUTPUT_SHA256 = {
     "giant": {
-        "manifest.json": "d28ae8cce35f43c3134744b0aa0986400f570738fa1aa7037455e325c26913cd",
+        "manifest.json": "b692c0c1aeb6ea928f9791731541f6c935c842517a677934c0f70ec7cd40c2ad",
         "results.jsonl": "3326c1e8634be55befae8e3931171c096eae36fe163121820bacd55997833c25",
         "summary.csv": "984cc8fedf29adc5c93af2f743a2f5e58ab287d6c90415befa2a2f0efded3692",
     },
     "structure": {
-        "manifest.json": "80f97061f073398b4528c51bd2cd80299fd501943ed62a8407b9ed1f05272c70",
+        "manifest.json": "cf05f619a20028e12c3df173af43681a488bde98e41041383bef89cb813d53e0",
         "results.jsonl": "50b1295429ca0c1c43ec1f4c44f894022d1334afb09829dc1536f4bec0f8779c",
         "summary.csv": "f93d87a717fef963a2f00c87ee6e29e5805217504ac6c0dd04018e5417328d8a",
     },
     "almost_local": {
-        "manifest.json": "f29ffd41e9f2138bad080b39e485511ce815bb533371a51264cb0e2dd0de2249",
+        "manifest.json": "aa708d34a39331bc1864b9c633ed73c2f1f31b93c2c87765ccad2b6211d54120",
         "results.jsonl": "3f9517f97399de8b6378c98eeb1815948c618ea9a28d68b06920dbd468f615ac",
         "summary.csv": "8d1834bc5a0cbea6f5c52735894b1a35aa2dcca71174c7f931974d9607739fed",
     },
     "necessity_demo": {
-        "manifest.json": "67d685f725c332671fbe54b44cecc72bfbd60ff25263f19c6755c93d8e4fe649",
+        "manifest.json": "fccedeead5a928dc700d4dba6e67e72f96da85903597da49660f3a5af659ac6a",
         "results.jsonl": "9b5e2bb66c903aca34dcfc85dda99bd3f16d974d28b5ef647e17eb79882aab75",
         "summary.csv": "19ae558736ea922612007c42df491bbf9a07dfedffd460cacb716049d74cf043",
     },
     "local_conv": {
-        "manifest.json": "0a428b712b49ba809834b32240dea9bd2a9bcc59e3382062f0225fe1a6bea05a",
-        "results.jsonl": "9303c12e3ea1b5a281fd37af3b59fa19b93c339dda30ef107d91550eae53bd1d",
-        "summary.csv": "436bba30d7d00570d0ad67d055769d4ce5bf319703d197a0da29a939bdb22c6a",
+        "manifest.json": "377586b3ef856a00e6380229e4be04d5ddbea029431fe48e51371a4daec52b43",
+        "results.jsonl": "1559be48792bb5b939a08c9962c3becbdd8b527d9fc4a3c4d87c2ba28a2cb638",
+        "summary.csv": "32c575cc2c4aba339ba071dc0eb12e063d830c75e136dd454e8e690285cd0723",
     },
     "coupling": {
-        "manifest.json": "9a539a8ab7a149336a291b2f429b7fa6216be38f2b5f8cac2ee8fc58194f492b",
+        "manifest.json": "0f3d34e5a08e9cecf76a8098d3a78977dba8d23a95bd565d439aa4c328bdd28f",
         "results.jsonl": "b427854fb7932b9c232a2dd79af2bf9350d813a135f1a61156bdd2f83055647d",
         "summary.csv": "98c7686580501062ffe7ec28916bfd2dd7b37296f4fa6f9e86baf3c0759a82a5",
     },
@@ -258,17 +258,17 @@ OUTPUT_SHA256 = {
         "distances_hist_n300_seed1.csv": "f046c978a2a0f4db402236275832dcfdd7274efcde7596fc2ca3832303bb5660",
         "distances_hist_n500_seed0.csv": "e27c757a3d55f3120b07075568582527cb51c1134429958e574c5f8477b99436",
         "distances_hist_n500_seed1.csv": "c81609af2461f7e33edfb2dac4eb8e440d7ae670a66f1ed0b0435c69f22440ca",
-        "manifest.json": "22ced6cbcd3f1e3d93278a2f577466a9c4c48a01616725a2e829add831826fcd",
+        "manifest.json": "afb718440aef1e54e10b07146c9c0e7ccb83af8fb17474cc23241ecb4e117b65",
         "results.jsonl": "96768f247b539b20c2f31c4991f7fae515b4443b6564f9daf083e92fb13e3101",
         "summary.csv": "6405fd2e92c28bd7901e480268931e0806addd44ab7f68cd63bd12e0149b5821",
     },
     "p2_demo": {
-        "manifest.json": "d006864b3994c4089b3acc765b0a8df1865d2f0611facee3dbbaa5ea424e1307",
+        "manifest.json": "1e493e4bf806877db5872dd1d5de9b08cc46f95e99b16b70aca49880ea7922a4",
         "results.jsonl": "8ec648946419466aae5a45abeaee70959d8e959ee8c1461901daad588887f4b5",
         "summary.csv": "4a406e519cd46a4df0e6d253d72bbe8cc298aac1e92e17e77afc9e5d94998e8a",
     },
     "truncation": {
-        "manifest.json": "cd7f9c6e5c7af7a2f5d8e5bd1318b7ece1d9be91388b12d24cd441e3a7bd9181",
+        "manifest.json": "28332741bf96cf0acd7ee93392578c59d293fda57d867b65d47c40ec9221fcdd",
         "results.jsonl": "479e6c7aa47ed002a32025b51b77749d35ebce5b7c1238f808a54ddfdb2da379",
         "summary.csv": "4adf94748f52948837eaff69eb87138aaba0a0f92a601624287e4cdd37606985",
     },
@@ -630,14 +630,19 @@ def test_main_bad_config_exits_two(tmp_path, capsys):
         ("alpha", 2.0),
         ("delta", 0),
         ("delta", -0.5),
+        ("seeds", [-1, 2]),
+        ("--seeds", "-1,2"),
     ],
 )
 def test_main_malformed_field_exits_two_naming_it(tmp_path, capsys, field, value):
+    # a field spelled as an option is given on the command line instead
+    option = field.startswith("--")
     config_path = tmp_path / "cfg.json"
-    config_path.write_text(json.dumps(cfg_dict(**{field: value})))
+    config_path.write_text(json.dumps(cfg_dict() if option else cfg_dict(**{field: value})))
     out = str(tmp_path / "out")
-    assert main(["giant", "--config", str(config_path), "--out", out]) == 2
-    assert f"'{field}'" in capsys.readouterr().err
+    argv = [f"{field}={value}"] if option else []
+    assert main(["giant", *argv, "--config", str(config_path), "--out", out]) == 2
+    assert f"'{field.lstrip('-')}'" in capsys.readouterr().err
     assert not os.path.exists(out)
 
 

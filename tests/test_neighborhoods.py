@@ -1,11 +1,13 @@
 import hashlib
 import itertools
+import math
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy import stats
 
 from cmgiant import (
     CanonicalBall,
@@ -564,28 +566,27 @@ def bp_digest(dist) -> str:
 @pytest.mark.parametrize(
     "law, r, samples, seed, cap, digest",
     [
-        # about 3.5e5 child draws: the child buffer refills mid-run
-        (DENSE, 2, 10_000, 11, 1000, "65fbc06a10806dbea480d2394d6a59fddb8740c61bd8a1db8054871aaed905a9"),
-        # more trees than one root buffer holds
-        ({1: 0.5, 3: 0.5}, 1, 2**18 + 5000, 12, 1000, "bf9323ed62454bfbdc53a25b0d04b29687c091429f492730e5c6973ffdeee9e0"),
+        # about 3.5e5 child draws over a dozen batches, the last one partial
+        (DENSE, 2, 10_000, 11, 1000, "8910a3f30b81f21fd87168c6fe38758a90244390e129fc052eb28209a230a098"),
+        # two dozen batches of about 1e4 trees each
+        ({1: 0.5, 3: 0.5}, 1, 2**18 + 5000, 12, 1000, "8219d596d5aae9c429dc02a114bcaef40a780c70d41c7ab8cf9e127da7c89b2d"),
         # about a third of the trees overflow the cap, the rest do not
-        (DENSE, 2, 3000, 13, 40, "c2e0b86930e89f3a947c79e555e1ed704c824cc25d4fd3e94c5154b2d7b1b10d"),
+        (DENSE, 2, 3000, 13, 40, "037937529f92694d6e789bbd83f9d61094d8a3e9704dc2c9bea4f2c37475b32a"),
         # no child draws at all
-        (DENSE, 0, 5000, 14, 1000, "9a0e31155eef9b3c5c6bdbb520a12608b2dc42cd599ec3ff5fb1951059dfefcd"),
+        (DENSE, 0, 5000, 14, 1000, "d50e2895872e46e12a4d9dcfa0b349eb198890bfa49ed108737053e9dc230596"),
         # degree-10 roots overflow at the root and take no child draw
-        (DENSE, 1, 5000, 15, 5, "f476e9344f32aad86a801b30bdcf0de3cfe6fbb00d8817d2e1a5aaae9a5cd86b"),
-        # local_conv's size: the child buffer is only partly read
-        ({1: 0.5, 3: 0.5}, 1, 25_000, 16, 1000, "b1310f9c47fb9608d22b4ac9319bc81ff53ba697a40f4e5754be2265ed9540c6"),
-        ({1: 0.5, 3: 0.5}, 2, 25_000, 16, 1000, "55261f449e531597565a7eec57776499bba04fbfe3404f7259a14e056f333fb2"),
+        (DENSE, 1, 5000, 15, 5, "c2e8a6c83d16e6a8dc0215377f2d7e78832d44de49115c00ca81f2b3c3cc5ee9"),
+        # local_conv's size: three batches at r=1, five at r=2
+        ({1: 0.5, 3: 0.5}, 1, 25_000, 16, 1000, "b5ce4976c2baf87dde6f838ee52ea4ed2bab7ed24cd57bc64c299b40717105ef"),
+        ({1: 0.5, 3: 0.5}, 2, 25_000, 16, 1000, "ebb267daf18378dafe88c2f5f77c4c8f936a6b2949663465f329c095c730f0ff"),
     ],
     ids=[
-        "child_refill", "root_refill", "partial_cap",
-        "radius_zero", "root_overflow", "partial_chunk_r1", "partial_chunk_r2",
+        "dense_batches", "sparse_batches", "partial_cap",
+        "radius_zero", "root_overflow", "local_conv_r1", "local_conv_r2",
     ],
 )
 def test_bp_stream_is_pinned(law, r, samples, seed, cap, digest):
-    # digests recorded from the per-tree breadth-first census of library 0.3.0
-    # (first three) and from the rng.choice buffers of library 0.4.0 (the rest)
+    # digests recorded from the level-by-level census of library 0.5.0
     spec = build_offspring_spec(Pmf.from_dict(law))
     dist = bp_ball_distribution(spec, r, samples, np.random.default_rng(seed), cap=cap)
     assert bp_digest(dist) == digest
@@ -597,45 +598,75 @@ def test_bp_stream_is_pinned(law, r, samples, seed, cap, digest):
     st.integers(1, 40),
     st.integers(1, 300),
     st.integers(1, 64),
-    st.integers(1, 64),
     st.integers(0, 2**32 - 1),
 )
-def test_bp_census_matches_per_tree_oracle(law, r, cap, samples, chunk, batch, seed):
-    # short buffers make refills land anywhere in a tree, including right
-    # after a node whose children overflow the cap; small batches rank the
-    # trees between two refills in several pieces
-    spec = build_offspring_spec(Pmf.from_dict(law))
-    expected = bp_ball_census(spec, r, samples, np.random.default_rng(seed), cap, chunk)
-    with mock.patch.multiple(neighborhoods, _DRAW_CHUNK=chunk, _BATCH_TREES=batch):
-        dist = bp_ball_distribution(spec, r, samples, np.random.default_rng(seed), cap=cap)
-    assert dist == expected
-    assert list(dist) == list(expected)
-
-
-@given(
-    pmf_dicts(),
-    st.integers(0, 3),
-    st.integers(1, 40),
-    st.integers(1, 300),
-    st.integers(1, 64),
-    st.integers(1, 16),
-    st.integers(1, 64),
-    st.integers(0, 2**32 - 1),
-)
-def test_bp_census_converts_draws_in_pieces(law, r, cap, samples, chunk, piece, batch, seed):
-    # pieces shorter than a refill make conversions land mid-tree and right
-    # after a node whose children overflow the cap, with and without a refill
-    # in between; the generator must end where the per-tree census leaves it
+def test_bp_census_matches_per_tree_oracle(law, r, cap, samples, batch_nodes, seed):
+    # batches of a few nodes split the trees anywhere, down to one tree a
+    # batch; the generator must end where the per-tree census leaves it
     spec = build_offspring_spec(Pmf.from_dict(law))
     ref, mine = np.random.default_rng(seed), np.random.default_rng(seed)
-    expected = bp_ball_census(spec, r, samples, ref, cap, chunk)
-    with mock.patch.multiple(
-        neighborhoods, _DRAW_CHUNK=chunk, _DRAW_PIECE=piece, _BATCH_TREES=batch
-    ):
+    with mock.patch.object(neighborhoods, "_BATCH_NODES", batch_nodes):
+        batch = neighborhoods._batch_trees(spec, r, cap)
         dist = bp_ball_distribution(spec, r, samples, mine, cap=cap)
+    expected = bp_ball_census(spec, r, samples, ref, cap, batch)
     assert dist == expected
     assert list(dist) == list(expected)
     assert mine.random() == ref.random()
+
+
+def radius_one_law(law: dict) -> dict:
+    """Exact radius-1 class masses: P_root(c) times the multinomial law of
+    the c children's stub counts under the shifted law."""
+    spec = build_offspring_spec(Pmf.from_dict(law))
+    shifted = spec.shifted_pmf.as_dict()
+    exact = {}
+    for c, p in spec.root_pmf.as_dict().items():
+        for stubs in itertools.combinations_with_replacement(sorted(shifted), c):
+            mass = p * math.factorial(c)
+            for s in set(stubs):
+                mass *= shifted[s] ** stubs.count(s) / math.factorial(stubs.count(s))
+            children = [list(range(1, c + 1))] + [[] for _ in stubs]
+            exact[CanonicalBall(b"T" + tree_code(children, (0, *stubs)))] = mass
+    return exact
+
+
+def within_binomial_bound(mass: float, p: float, samples: int, z: float = 6.0) -> bool:
+    """Whether mass * samples lies in neither binomial tail beyond that of z
+    standard normal deviations: exact tails, so rare classes are tested too."""
+    k = round(mass * samples)
+    tail = stats.norm.sf(z)
+    return stats.binom.cdf(k, samples, p) >= tail and stats.binom.sf(k - 1, samples, p) >= tail
+
+
+@pytest.mark.parametrize("law", [{1: 0.5, 3: 0.5}, DENSE], ids=["sparse", "dense"])
+def test_bp_radius_one_classes_follow_the_exact_law(law):
+    samples = 100_000
+    exact = radius_one_law(law)
+    assert math.fsum(exact.values()) == pytest.approx(1.0)
+    spec = build_offspring_spec(Pmf.from_dict(law))
+    dist = bp_ball_distribution(spec, 1, samples, np.random.default_rng(17))
+    assert set(dist) <= set(exact)
+    for code, p in exact.items():
+        assert within_binomial_bound(dist.get(code, 0.0), p, samples), code
+
+
+def test_bp_oversize_mass_follows_the_exact_law():
+    # at r=2 a tree has 1 + c + (the sum of its c children's shifted draws)
+    # nodes; cap=40 makes about a third of the DENSE trees oversize
+    spec = build_offspring_spec(Pmf.from_dict(DENSE))
+    shifted = np.zeros(max(spec.shifted_pmf.support) + 1)
+    for k, q in spec.shifted_pmf.as_dict().items():
+        shifted[k] = q
+    exact = 0.0
+    for c, p in spec.root_pmf.as_dict().items():
+        grand = np.array([1.0])
+        for _ in range(c):
+            grand = np.convolve(grand, shifted)
+        exact += p * grand[max(0, 40 - c) :].sum()
+    assert exact == pytest.approx(0.354172, abs=1e-6)
+    samples = 50_000
+    dist = bp_ball_distribution(spec, 2, samples, np.random.default_rng(18), cap=40)
+    assert within_binomial_bound(dist[OVERSIZE_BALL], exact, samples)
 
 
 def test_tv_against_bp_shrinks_with_n(mixture_pmf, mixture_spec):
