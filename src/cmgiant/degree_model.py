@@ -7,6 +7,7 @@ distribution used by the branching-process side of the library.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping
@@ -42,8 +43,8 @@ class Pmf:
             raise ValueError("support values must be nonnegative integers")
         if any(b <= a for a, b in zip(support, support[1:])):
             raise ValueError("support must be strictly increasing")
-        if any(p < 0 for p in probabilities):
-            raise ValueError("probabilities must be nonnegative")
+        if not all(math.isfinite(p) and p >= 0 for p in probabilities):
+            raise ValueError("probabilities must be finite and nonnegative")
         total = sum(probabilities)
         if abs(total - 1.0) > PMF_SUM_TOL:
             raise ValueError(f"probabilities sum to {total!r}, not 1")

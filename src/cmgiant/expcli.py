@@ -428,6 +428,13 @@ def _parse_float(data: dict, name: str, default: float) -> float:
     return float(value)
 
 
+def _parse_out_dir(data: dict) -> str:
+    value = data.get("out_dir", "cmgiant_out")
+    if not isinstance(value, str) or not value:
+        raise ConfigError(f"field 'out_dir': expected a non-empty path, got {value!r}")
+    return value
+
+
 def _parse_law(
     data: dict, experiment: str, source: str
 ) -> tuple[dict[int, float] | None, Pmf, DegreeSequence | None, OffspringSpec | None]:
@@ -492,7 +499,7 @@ def config_from_dict(data: dict, source: str = "<config>") -> ExperimentConfig:
         m_exponent=_parse_float(data, "m_exponent", 0.4),
         pairs=_parse_int(data, "pairs", 1000),
         bp_samples=_parse_int(data, "bp_samples", 100000),
-        out_dir=str(data.get("out_dir", "cmgiant_out")),
+        out_dir=_parse_out_dir(data),
         law=law,
         sequence=sequence,
         spec=spec,

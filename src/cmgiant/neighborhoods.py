@@ -29,7 +29,9 @@ pendant vertices never count toward CLASS_CAP, so trees, including stars of
 any width, always get an exact code.
 
 The two censuses rank whole levels of trees at once with AHU's level step,
-on arrays, and build the AHU string once per distinct class:
+on arrays, and build the AHU string once per distinct class. Both use one
+kernel, _Rows: it packs each node's sorted row of child classes into an
+int64 key, so one np.unique ranks a whole level:
 
 - Graph side. A tree test takes the sorted (root, endpoint, length) keys
   of every non-backtracking walk of length r + 1 or less from every root,
@@ -310,10 +312,12 @@ class _Rows:
     Row i holds the length[i] entries vals[base[i] + j + (j >= skip[i])]:
     a sorted run that starts at base[i], with the entry at offset skip[i]
     left out (a skip of length[i] or more leaves nothing out). Ranking is
-    AHU's level step: the columns are folded in one at a time, each fold
-    ranking (row class so far, next entry) pairs with a 1-D np.unique over
-    the rows still that long, and the row length is folded in last. Classes
-    are dense and carry no order.
+    AHU's level step on packed keys: a row's entries become the digits
+    entry + 1 in radix vals.max() + 2, with 0 past the row's end, so the
+    trailing zeros encode the row length. Each np.unique folds as many
+    columns into (class so far, digits) keys as fit below 2**62, and at
+    least one; at census sizes a whole level takes one. Classes are dense
+    and carry no order.
     """
 
     def __init__(self, vals: np.ndarray, base, length, skip=None) -> None:
@@ -321,21 +325,19 @@ class _Rows:
         self.base = np.asarray(base, dtype=np.int64)
         self.length = np.asarray(length, dtype=np.int64)
         self.skip = self.length if skip is None else skip
-        order = np.argsort(-self.length, kind="stable")
-        base, length, skip = self.base[order], self.length[order], self.skip[order]
-        width = int(length[0]) if length.size else 0
-        span = int(vals.max()) + 1 if vals.size else 1
-        cls = np.zeros(length.size, dtype=np.int64)
-        # column j reaches the rows longer than j, a prefix in this order
-        for j, k in enumerate(np.searchsorted(-length, -np.arange(width)).tolist()):
-            entry = vals[base[:k] + j + (skip[:k] <= j)]
-            cls[:k] = np.unique(cls[:k] * span + entry, return_inverse=True)[1]
-        _, first, cls = np.unique(
-            cls * (width + 1) + length, return_index=True, return_inverse=True
-        )
-        self.classes = np.empty_like(cls)
-        self.classes[order] = cls
-        self._rep = order[first]
+        width = int(self.length.max()) if self.length.size else 0
+        radix = int(vals.max()) + 2 if vals.size else 2
+        self.classes = np.zeros(self.length.size, dtype=np.int64)
+        self._rep = np.zeros(min(1, self.length.size), dtype=np.int64)
+        j = 0
+        while j < width:
+            key = self.classes
+            for _ in range(_digits(self._rep.size, radix, width - j)):
+                live = self.length > j
+                at = np.where(live, self.base + j + (self.skip <= j), 0)
+                key = key * radix + np.where(live, vals[at] + 1, 0)
+                j += 1
+            _, self._rep, self.classes = np.unique(key, return_index=True, return_inverse=True)
 
     def children(self, c: int) -> list[int]:
         """The child classes in a row of class c."""
@@ -344,10 +346,20 @@ class _Rows:
         return [int(self.vals[base + j + (j >= skip)]) for j in range(int(self.length[i]))]
 
 
+def _digits(bound: int, radix: int, most: int) -> int:
+    """How many radix digits, at least one and at most most, keys of bound
+    classes so far can take below 2**62."""
+    m = 1
+    while m < most and bound * radix ** (m + 1) < 1 << 62:
+        m += 1
+    return m
+
+
 def _sorted_runs(values: np.ndarray, lengths: np.ndarray):
     """values with each run of lengths[i] consecutive entries sorted, and the
-    sorted position of every entry."""
-    perm = np.lexsort((values, np.repeat(np.arange(lengths.size), lengths)))
+    sorted position of every entry: one stable sort of run * span + value."""
+    span = int(values.max()) + 1 if values.size else 1
+    perm = np.argsort(np.repeat(np.arange(lengths.size), lengths) * span + values, kind="stable")
     where = np.empty_like(perm)
     where[perm] = np.arange(perm.size)
     return values[perm], where

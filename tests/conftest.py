@@ -16,6 +16,13 @@ settings.register_profile(
     max_examples=50,
     suppress_health_check=[HealthCheck.too_slow],
 )
+# --hypothesis-profile=deep runs the oracle tests ten times longer
+settings.register_profile(
+    "deep",
+    deadline=None,
+    max_examples=500,
+    suppress_health_check=[HealthCheck.too_slow],
+)
 settings.load_profile("suite")
 
 

@@ -95,3 +95,27 @@ def bp_ball_census(spec, r: int, samples: int, rng, cap: int, batch: int):
             code = b"T" + tree_code(children, stubs) if stubs else OVERSIZE_BALL.code
             counts[code] = counts.get(code, 0) + 1
     return {CanonicalBall(code): c / samples for code, c in counts.items()}
+
+
+def rows_reference(vals, base, length, skip=None) -> np.ndarray:
+    """Classes of the ragged rows neighborhoods._Rows ranks, one column at a time.
+
+    Row i holds vals[base[i] + j + (j >= skip[i])] for j < length[i]. The
+    rows are put in order of decreasing length, so each column reaches a
+    prefix of them; every column folds (class so far, entry) pairs with one
+    np.unique, and the row length is folded in last.
+    """
+    base, length = np.asarray(base, dtype=np.int64), np.asarray(length, dtype=np.int64)
+    skip = length if skip is None else np.asarray(skip, dtype=np.int64)
+    order = np.argsort(-length, kind="stable")
+    base, length, skip = base[order], length[order], skip[order]
+    width = int(length[0]) if length.size else 0
+    span = int(vals.max()) + 1 if vals.size else 1
+    cls = np.zeros(length.size, dtype=np.int64)
+    for j, k in enumerate(np.searchsorted(-length, -np.arange(width)).tolist()):
+        entry = vals[base[:k] + j + (skip[:k] <= j)]
+        cls[:k] = np.unique(cls[:k] * span + entry, return_inverse=True)[1]
+    cls = np.unique(cls * (width + 1) + length, return_inverse=True)[1]
+    classes = np.empty_like(cls)
+    classes[order] = cls
+    return classes

@@ -632,6 +632,7 @@ def test_main_bad_config_exits_two(tmp_path, capsys):
         ("delta", -0.5),
         ("seeds", [-1, 2]),
         ("--seeds", "-1,2"),
+        ("pmf", {"1": float("nan")}),
     ],
 )
 def test_main_malformed_field_exits_two_naming_it(tmp_path, capsys, field, value):
@@ -644,6 +645,16 @@ def test_main_malformed_field_exits_two_naming_it(tmp_path, capsys, field, value
     assert main(["giant", *argv, "--config", str(config_path), "--out", out]) == 2
     assert f"'{field.lstrip('-')}'" in capsys.readouterr().err
     assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("out_dir", ["", 5])
+def test_main_bad_out_dir_exits_two_before_any_output(tmp_path, monkeypatch, capsys, out_dir):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv(expcli.OUT_DIR_ENV, raising=False)
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg_dict(out_dir=out_dir)))
+    assert main(["giant", "--config", "cfg.json"]) == 2
+    assert "'out_dir'" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["cfg.json"]
 
 
 @pytest.mark.parametrize(

@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -28,7 +28,7 @@ from cmgiant import (
 )
 from cmgiant import neighborhoods
 from cmgiant.neighborhoods import DEFAULT_BALL_CAP, OVERSIZE_BALL, extract_ball
-from oracles import ball_census, bp_ball_census, tree_code
+from oracles import ball_census, bp_ball_census, rows_reference, tree_code
 from strategies import degree_lists, pmf_dicts
 
 
@@ -287,6 +287,51 @@ def test_tree_codes_match_the_branching_process_encoder(n, data):
     expected = b"T" + tree_code(children, stubs)
     assert canonical_code(tree).code == expected
     assert canonical_code(relabeled(tree, [0] + list(perm))).code == expected
+
+
+@st.composite
+def ragged_rows(draw):
+    """Rows over shared sorted runs, as _Rows takes them: each row is a run
+    with the entry at its skip offset left out, or the whole run when the
+    skip is past its end or there are no skips at all."""
+    big = draw(st.sampled_from([3, 60, 2**20, 2**40]))
+    entry = st.sampled_from([0, 1, 2, big // 2, big])
+    runs = draw(st.lists(st.lists(entry, max_size=12).map(sorted), min_size=1, max_size=8))
+    starts = np.cumsum([0] + [len(run) for run in runs])
+    picks = draw(st.lists(st.tuples(st.integers(0, len(runs) - 1), st.integers(0, 13)), max_size=40))
+    skipping = draw(st.booleans())
+    base = [int(starts[i]) for i, _ in picks]
+    length = [len(runs[i]) - (skipping and s < len(runs[i])) for i, s in picks]
+    skip = np.array([s for _, s in picks], dtype=np.int64) if skipping else None
+    vals = np.array([x for run in runs for x in run], dtype=np.int64)
+    return vals, base, length, skip
+
+
+@given(ragged_rows())
+@example((np.array([0]), [0, 0], [0, 1], np.array([0, 1])))  # the rows [] and [0]
+def test_rows_rank_like_the_column_by_column_reference(rows):
+    # zero-length rows, a skip at every offset and entries up to 2**40, whose
+    # keys take one np.unique per column, against the one-column-per-fold ranking
+    vals, base, length, skip = rows
+    ranked = neighborhoods._Rows(vals, base, length, skip)
+    expected = rows_reference(vals, base, length, skip)
+    pairs = set(zip(ranked.classes.tolist(), expected.tolist()))
+    assert len(pairs) == len(set(ranked.classes.tolist())) == len(set(expected.tolist()))
+    for i, c in enumerate(ranked.classes.tolist()):
+        s = len(vals) if skip is None else int(skip[i])
+        row = [int(vals[base[i] + j + (j >= s)]) for j in range(length[i])]
+        assert ranked.children(c) == row
+
+
+@given(st.integers(1, 2**22), st.integers(2, 2**41), st.integers(1, 40))
+@example(2**22, 2**41, 3)  # not even one digit fits
+def test_rows_fold_as_many_digits_as_fit(bound, radix, most):
+    # keys of bound classes so far and m digits stay below 2**62, yet each
+    # fold takes at least one digit
+    m = neighborhoods._digits(bound, radix, most)
+    assert 1 <= m <= most
+    assert m == 1 or bound * radix**m < 2**62
+    assert m == most or bound * radix ** (m + 1) >= 2**62
 
 
 def test_extract_ball_radius_zero():
