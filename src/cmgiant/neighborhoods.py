@@ -31,7 +31,8 @@ any width, always get an exact code.
 The two censuses rank whole levels of trees at once with AHU's level step,
 on arrays, and build the AHU string once per distinct class. Both use one
 kernel, _Rows: it packs each node's sorted row of child classes into an
-int64 key, so one np.unique ranks a whole level:
+int64 key, so one np.unique ranks a level whose rows fit in one key, and
+the columns of longer rows are folded into only the rows that reach them:
 
 - Graph side. A tree test takes the sorted (root, endpoint, length) keys
   of every non-backtracking walk of length r + 1 or less from every root,
@@ -316,8 +317,16 @@ class _Rows:
     entry + 1 in radix vals.max() + 2, with 0 past the row's end, so the
     trailing zeros encode the row length. Each np.unique folds as many
     columns into (class so far, digits) keys as fit below 2**62, and at
-    least one; at census sizes a whole level takes one. Classes are dense
-    and carry no order.
+    least one: about 62 / log2(radix) columns in the first fold, which
+    covers every row. When the longest row needs more folds, the rows go in
+    order of decreasing length, each later fold covers only the rows longer
+    than its first column and gives them classes above every earlier one,
+    and one last np.unique makes the classes dense. A level thus costs one
+    sort per fold, each over only the rows that reach the fold, and gathers
+    of about the first fold's width per row plus the entries past it, so a
+    hub costs about its own entries, not its width times every row. Every
+    census level of local_conv takes one fold. Classes are dense and carry
+    no order.
     """
 
     def __init__(self, vals: np.ndarray, base, length, skip=None) -> None:
@@ -327,17 +336,33 @@ class _Rows:
         self.skip = self.length if skip is None else skip
         width = int(self.length.max()) if self.length.size else 0
         radix = int(vals.max()) + 2 if vals.size else 2
-        self.classes = np.zeros(self.length.size, dtype=np.int64)
-        self._rep = np.zeros(min(1, self.length.size), dtype=np.int64)
-        j = 0
+        base, length, skip = self.base, self.length, self.skip
+        order = None
+        if _digits(1, radix, width) < width:
+            # a later fold reaches the rows longer than its first column, a prefix in this order
+            order = np.argsort(-length, kind="stable")
+            base, length, skip = base[order], length[order], skip[order]
+        cls = np.zeros(length.size, dtype=np.int64)
+        first = np.zeros(min(1, length.size), dtype=np.int64)
+        bound, j, k = 0, 0, length.size
         while j < width:
-            key = self.classes
-            for _ in range(_digits(self._rep.size, radix, width - j)):
-                live = self.length > j
-                at = np.where(live, self.base + j + (self.skip <= j), 0)
+            k = int(np.count_nonzero(length[:k] > j)) if j else k
+            key = cls[:k]
+            for _ in range(_digits(max(bound, 1), radix, width - j)):
+                live = length[:k] > j
+                at = np.where(live, base[:k] + j + (skip[:k] <= j), 0)
                 key = key * radix + np.where(live, vals[at] + 1, 0)
                 j += 1
-            _, self._rep, self.classes = np.unique(key, return_index=True, return_inverse=True)
+            _, first, fold = np.unique(key, return_index=True, return_inverse=True)
+            cls[:k] = bound + fold
+            bound += first.size
+        if bound > first.size:
+            _, first, cls = np.unique(cls, return_index=True, return_inverse=True)
+        self.classes, self._rep = cls, first
+        if order is not None:
+            self.classes = np.empty_like(cls)
+            self.classes[order] = cls
+            self._rep = order[first]
 
     def children(self, c: int) -> list[int]:
         """The child classes in a row of class c."""

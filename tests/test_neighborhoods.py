@@ -309,6 +309,7 @@ def ragged_rows(draw):
 
 @given(ragged_rows())
 @example((np.array([0]), [0, 0], [0, 1], np.array([0, 1])))  # the rows [] and [0]
+@example((np.full(22, 60), [0, 10], [10, 12], None))  # equal up to the first fold's end
 def test_rows_rank_like_the_column_by_column_reference(rows):
     # zero-length rows, a skip at every offset and entries up to 2**40, whose
     # keys take one np.unique per column, against the one-column-per-fold ranking
@@ -321,6 +322,30 @@ def test_rows_rank_like_the_column_by_column_reference(rows):
         s = len(vals) if skip is None else int(skip[i])
         row = [int(vals[base[i] + j + (j >= s)]) for j in range(length[i])]
         assert ranked.children(c) == row
+
+
+def test_rows_fold_long_rows_alone(monkeypatch):
+    # one row of 1000 entries among 10,000 rows of one: the long row's later
+    # columns are folded into its own key alone, so the sorts see about two
+    # keys per row rather than one per row and fold
+    vals = np.arange(2000, dtype=np.int64)
+    base = np.arange(10_001) % 2000
+    length = np.ones(10_001, dtype=np.int64)
+    length[5000] = 1000
+    sorted_keys = []
+    unique = np.unique
+
+    def counted(a, **kw):
+        sorted_keys.append(np.size(a))
+        return unique(a, **kw)
+
+    monkeypatch.setattr(np, "unique", counted)
+    ranked = neighborhoods._Rows(vals, base, length)
+    monkeypatch.undo()
+    assert len(sorted_keys) > 2 and sum(sorted_keys) < 3 * length.size
+    expected = rows_reference(vals, base, length)
+    assert len(set(zip(ranked.classes.tolist(), expected.tolist()))) == len(set(expected.tolist()))
+    assert ranked.children(int(ranked.classes[5000])) == list(range(1000, 2000))
 
 
 @given(st.integers(1, 2**22), st.integers(2, 2**41), st.integers(1, 40))
