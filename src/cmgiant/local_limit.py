@@ -8,16 +8,19 @@ giant-component limits in this library are functionals of that process.
 Every sampler here tracks generation sizes only and takes the same step:
 the children of a generation of m forward individuals are one multinomial
 draw over the forward law, weighted by its support. The single-tree samplers
-take that step with an int. The Monte Carlo estimators run all their trees
-in lockstep: one draw of every root, then, per generation, one multinomial
-over the trees still alive, in increasing sample index. Each law is turned
-into arrays once per OffspringSpec.
+take that step with an int and sum the draw against the support in Python.
+The Monte Carlo estimators run all their trees in lockstep: one draw of
+every root, then, per generation, one multinomial over the trees still
+alive, in increasing sample index. Each law is turned into arrays, and for
+the single-tree samplers into Python lists, once per OffspringSpec.
 """
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
+from operator import mul
 
 import numpy as np
 
@@ -81,6 +84,13 @@ class OffspringSpec:
             np.array(root.support), cdf(root.probabilities),
             np.array(child.support), np.array(child.probabilities), cdf(child.probabilities),
         )
+
+    @cached_property
+    def _lists(self) -> tuple[list, ...]:
+        """Root support and cdf, and forward support, of _arrays as Python
+        lists, for the samplers that draw one tree at a time."""
+        root_support, root_cdf, child_support = self._arrays[:3]
+        return root_support.tolist(), root_cdf.tolist(), child_support.tolist()
 
 
 def _generating_function(pmf: Pmf, x: float) -> float:
@@ -177,14 +187,21 @@ def _choice(support: np.ndarray, cdf: np.ndarray, uniforms):
 
 
 def _draw_roots(spec: OffspringSpec, rng: np.random.Generator, size: int | None = None):
-    """Root child counts, consuming rng as rng.choice(support, size, p=probs) would."""
+    """Root child counts, consuming rng as rng.choice(support, size, p=probs) would.
+
+    With no size, one int: bisect_right on the cdf list is the rule of
+    searchsorted(side="right").
+    """
+    if size is None:
+        support, cdf, _ = spec._lists
+        return support[bisect_right(cdf, rng.random())]
     support, cdf = spec._arrays[:2]
     return _choice(support, cdf, rng.random(size))
 
 
-def _next_generation(spec: OffspringSpec, rng: np.random.Generator, gen):
-    """Children of `gen` forward individuals: an int, or an int64 array of one
-    generation per tree, drawn in index order."""
+def _next_generation(spec: OffspringSpec, rng: np.random.Generator, gen: np.ndarray):
+    """Children of the forward individuals of each tree, an int64 array of
+    one generation per tree, drawn in index order."""
     support, probs = spec._arrays[2:4]
     return rng.multinomial(gen, probs) @ support
 
@@ -267,10 +284,15 @@ def simulate_unimodular_bp(
     generation of size m is drawn in one multinomial step, which matches the
     per-individual law exactly. The generator is consumed by one uniform for
     the root, then one multinomial per nonempty generation before the cap.
+    Once max_generation generations are recorded, the next one is still
+    drawn but not recorded; the pinned stream keeps that draw.
     """
+    multinomial = rng.multinomial
+    probs = spec._arrays[3]
+    support = spec._lists[2]
     sizes = [1]
     total = 1
-    gen = int(_draw_roots(spec, rng))
+    gen = _draw_roots(spec, rng)
     truncated = False
     for _ in range(max_generation):
         sizes.append(gen)
@@ -279,7 +301,7 @@ def simulate_unimodular_bp(
             truncated = True
             break
         if gen:
-            gen = int(_next_generation(spec, rng, gen))
+            gen = sum(map(mul, multinomial(gen, probs).tolist(), support))
     return BranchingRun(tuple(sizes), total, truncated)
 
 
@@ -299,13 +321,16 @@ def simulate_offspring_generations(
     """
     if b0 < 1:
         raise ValueError("need a positive starting generation")
+    multinomial = rng.multinomial
+    probs = spec._arrays[3]
+    support = spec._lists[2]
     sizes = [b0]
     total = b0
     gen = b0
     truncated = False
     for _ in range(generations):
         if gen:
-            gen = int(_next_generation(spec, rng, gen))
+            gen = sum(map(mul, multinomial(gen, probs).tolist(), support))
         sizes.append(gen)
         total += gen
         if cap is not None and total >= cap:

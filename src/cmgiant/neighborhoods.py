@@ -64,7 +64,7 @@ import numpy as np
 from .components import ComponentSummary
 from .graph_build import HalfEdgeGraph
 from .local_limit import OffspringSpec, _choice
-from .traversal import _WALK_BUDGET, _walk_counts, _walk_keys
+from .traversal import _WALK_BUDGET, _check_radius, _vertex_bits, _walk_counts, _walk_keys
 
 DEFAULT_BALL_CAP = 1000
 CLASS_CAP = 8
@@ -242,6 +242,7 @@ def extract_ball(
     g: HalfEdgeGraph, v: int, r: int, cap: int = DEFAULT_BALL_CAP
 ) -> tuple[RootedBall, bool]:
     """The radius-r ball of v in g; the flag reports a cap overflow."""
+    _check_radius(r)
     offsets, nbr = g.adjacency()
     dist = {v: 0}
     order = [v]
@@ -441,14 +442,16 @@ def _cyclic(g: HalfEdgeGraph, roots: np.ndarray, r: int, cost: np.ndarray) -> np
     length r or less.
     """
     cyclic = np.zeros(roots.size, dtype=bool)
+    vb = _vertex_bits(g.n)
     for lo, _, pair, length in _walk_keys(g, roots, r + 1, cost, _WALK_BUDGET):
         twice = (pair[1:] == pair[:-1]) & (length[:-1] <= r)
-        cyclic[lo + pair[1:][twice] // g.n] = True
+        cyclic[lo + (pair[1:][twice] >> vb)] = True
     return cyclic
 
 
 def _ball_classes(g: HalfEdgeGraph, r: int, cap: int) -> tuple[np.ndarray, list[CanonicalBall]]:
     """Class id of every root's radius-r ball, and the code of each class."""
+    _check_radius(r)
     n, offsets, mate = g.n, g.offsets, g.mate
     degree = np.diff(offsets)
     far = g.owner[mate]
@@ -561,6 +564,7 @@ def bp_ball_distribution(
     tree whose nodes within depth d pass cap is oversize and draws nothing
     more. The levels of a batch are then ranked from depth r up.
     """
+    _check_radius(r)
     root_support, root_cdf, child_support, _, child_cdf = spec._arrays
     batch = _batch_trees(spec, r, cap)
     counts: dict[CanonicalBall, int] = {}

@@ -4,7 +4,10 @@ Non-backtracking walks, on arrays. A walk leaves each vertex by any
 half-edge but the one it came in on, so it may turn round a self-loop or a
 parallel edge but not step straight back. _walk_counts counts the walks from
 every vertex with a per-half-edge recurrence, and _walk_keys lists them, a
-chunk of roots at a time, as sorted (root, endpoint, length) keys.
+chunk of roots at a time, as sorted (root, endpoint, length) keys packed
+into one int64 each: root index, then endpoint, then length, in bit fields
+that shifts and masks read back. After its first step a walk takes deg - 1
+slots at the vertex it reached and steps over the half-edge it arrived by.
 boundary_counts reads distances off those keys, and the graph-side ball
 census (neighborhoods) reads cycles off them.
 
@@ -22,6 +25,11 @@ from .graph_build import HalfEdgeGraph
 # of the largest piece, which is what peak RSS then measures.
 _WALK_BUDGET = 1 << 15  # walks per chunk of roots
 _WALK_CLIP = 1 << 30  # walk counts saturate here
+
+
+def _check_radius(r: int) -> None:
+    if r < 0:
+        raise ValueError(f"radius r must be nonnegative, got r={r}")
 
 
 def _ragged(starts: np.ndarray, lengths: np.ndarray):
@@ -53,32 +61,52 @@ def _walk_counts(g: HalfEdgeGraph, r: int) -> tuple[np.ndarray, np.ndarray]:
     return walks, step
 
 
+def _vertex_bits(n: int) -> int:
+    """Bits of a vertex field in a walk key."""
+    return max(n - 1, 1).bit_length()
+
+
 def _walk_keys(g: HalfEdgeGraph, roots: np.ndarray, depth: int, cost: np.ndarray, budget: int):
     """Sorted keys of the non-backtracking walks of length depth or less.
 
     Roots go in consecutive chunks roots[lo:hi] of about budget walks, at
     least one root each, where roots[i] has cost[i] walks. Each chunk
     yields lo, hi and two arrays: a walk of length l from roots[lo + i] to
-    vertex w is the entry pair = i * n + w, length = l, and the entries are
-    sorted by pair, then length.
+    vertex w is the entry pair = i << _vertex_bits(n) | w, length = l, and
+    the entries are sorted by pair, then length. They come from one sort of
+    the keys pair << lb | l, with lb = depth.bit_length(); a chunk whose
+    keys would pass 63 bits raises OverflowError.
+
+    The first step leaves the root by each of its half-edges. Each later
+    step takes deg - 1 slots at the vertex the walk arrived at and skips the
+    arrival half-edge: slot j is half-edge offsets[v] + j, plus one once
+    that reaches the arrival half-edge.
     """
     n, offsets, mate, owner = g.n, g.offsets, g.mate, g.owner
+    degree = np.diff(offsets)
+    vb, lb = _vertex_bits(n), depth.bit_length()
     bound = np.cumsum(cost)
     lo = 0
     while lo < roots.size:
         hi = int(np.searchsorted(bound, bound[lo] - cost[lo] + budget, "right"))
         hi = max(hi, lo + 1)
-        who = np.arange(hi - lo)
-        at, came = roots[lo:hi], np.full(hi - lo, -1)
-        keys = [(who * n + at) * (depth + 1)]
+        if (hi - lo) << (vb + lb) > 1 << 63:
+            raise OverflowError(f"keys of {hi - lo} roots, {n} vertices, depth {depth} pass 63 bits")
+        # who holds a walk's root index, shifted into place
+        who = np.arange(hi - lo, dtype=np.int64) << (vb + lb)
+        at = roots[lo:hi]
+        keys = [who | at << lb]
         for length in range(1, depth + 1):
-            row, out = _ragged(offsets[at], offsets[at + 1] - offsets[at])
-            keep = out != came[row]
-            who, came = who[row[keep]], mate[out[keep]]
+            if length == 1:
+                row, out = _ragged(offsets[at], degree[at])
+            else:
+                row, out = _ragged(offsets[at], degree[at] - 1)
+                out += out >= came[row]
+            who, came = who[row], mate[out]
             at = owner[came]
-            keys.append((who * n + at) * (depth + 1) + length)
-        pair, length = np.divmod(np.sort(np.concatenate(keys)), depth + 1)
-        yield lo, hi, pair, length
+            keys.append(who | at << lb | length)
+        keys = np.sort(np.concatenate(keys))
+        yield lo, hi, keys >> lb, keys & ((1 << lb) - 1)
         lo = hi
 
 
@@ -92,15 +120,17 @@ def boundary_counts(g: HalfEdgeGraph, r: int) -> np.ndarray:
     walks than g has half-edges, more than a breadth-first search from it
     can touch, gets that search instead.
     """
+    _check_radius(r)
     walks, _ = _walk_counts(g, r)
     out = np.empty(g.n, dtype=np.int64)
     # counts at _WALK_CLIP or more are saturated, so the bound stays below it
     few = walks <= min(g.num_half_edges, _WALK_CLIP - 1)
     roots = np.flatnonzero(few)
+    vb = _vertex_bits(g.n)
     for lo, hi, pair, length in _walk_keys(g, roots, r, walks[roots], _WALK_BUDGET):
         first = np.ones(pair.size, dtype=bool)
         first[1:] = pair[1:] != pair[:-1]
-        out[roots[lo:hi]] = np.bincount(pair[first & (length == r)] // g.n, minlength=hi - lo)
+        out[roots[lo:hi]] = np.bincount(pair[first & (length == r)] >> vb, minlength=hi - lo)
     rest = np.flatnonzero(~few).tolist()
     if rest:
         offsets, nbr = g.adjacency()

@@ -29,6 +29,68 @@ def boundary_counts_bfs(g, r: int) -> np.ndarray:
     return np.array([int(np.sum(distances_from(g, v) == r)) for v in range(g.n)], dtype=np.int64)
 
 
+def walk_keys(g, roots, depth: int) -> list[tuple[int, int, int]]:
+    """Every non-backtracking walk of length depth or less from each root, as
+    (root, endpoint, length): a depth-first search per root, which leaves
+    each vertex by every half-edge but the one it came in on. The walks of a
+    root are sorted, and the roots keep their order."""
+    offsets, mate, owner = g.offsets.tolist(), g.mate.tolist(), g.owner.tolist()
+    listed = []
+    for v in np.asarray(roots).tolist():
+        walks = []
+        stack = [(v, -1, 0)]
+        while stack:
+            u, came, length = stack.pop()
+            walks.append((u, length))
+            if length < depth:
+                for x in range(offsets[u], offsets[u + 1]):
+                    if x != came:
+                        stack.append((owner[mate[x]], mate[x], length + 1))
+        listed.extend((v, w, length) for w, length in sorted(walks))
+    return listed
+
+
+def unimodular_bp_loop(spec, max_generation: int, cap: int, rng):
+    """(sizes, total, truncated) of one two-stage tree, drawn as the per-tree
+    loop draws it: rng.choice for the root, then rng.multinomial over the
+    forward law for each nonempty generation before the cap, recorded or not."""
+    support = np.array(spec.shifted_pmf.support)
+    probs = np.array(spec.shifted_pmf.probabilities)
+    sizes = [1]
+    total = 1
+    gen = int(rng.choice(np.array(spec.root_pmf.support), p=spec.root_pmf.probabilities))
+    truncated = False
+    for _ in range(max_generation):
+        sizes.append(gen)
+        total += gen
+        if total >= cap:
+            truncated = True
+            break
+        if gen:
+            gen = int(rng.multinomial(gen, probs) @ support)
+    return tuple(sizes), total, truncated
+
+
+def offspring_generations_loop(spec, b0: int, generations: int, rng, cap=None):
+    """(sizes, total, truncated) of the forward process from b0 individuals,
+    one rng.multinomial per nonempty generation."""
+    support = np.array(spec.shifted_pmf.support)
+    probs = np.array(spec.shifted_pmf.probabilities)
+    sizes = [b0]
+    total = b0
+    gen = b0
+    truncated = False
+    for _ in range(generations):
+        if gen:
+            gen = int(rng.multinomial(gen, probs) @ support)
+        sizes.append(gen)
+        total += gen
+        if cap is not None and total >= cap:
+            truncated = True
+            break
+    return tuple(sizes), total, truncated
+
+
 def tree_code(children: list[list[int]], stubs) -> bytes:
     """AHU string of the stub-labelled tree rooted at 0.
 

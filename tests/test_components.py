@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from cmgiant import (
@@ -18,7 +18,7 @@ from cmgiant import (
     sum_squares_ratio,
 )
 from cmgiant import traversal
-from oracles import boundary_counts_bfs, distances_from
+from oracles import boundary_counts_bfs, distances_from, walk_keys
 from strategies import degree_lists
 
 
@@ -239,6 +239,42 @@ def test_boundary_counts_match_bfs(degrees, r, budget, seed):
     with mock.patch.object(traversal, "_WALK_BUDGET", budget):
         counts = traversal.boundary_counts(g, r)
     assert np.array_equal(counts, boundary_counts_bfs(g, r))
+
+
+@st.composite
+def loopy_graphs(draw):
+    """Small multigraphs on a uniform pairing of their half-edges: vertices of
+    degree 0, and at these sizes often self-loops and multi-edges."""
+    degrees = draw(st.lists(st.integers(0, 5), min_size=1, max_size=10))
+    if sum(degrees) % 2:
+        degrees[-1] += 1
+    labels = np.array(draw(st.permutations(range(sum(degrees)))), dtype=np.int64)
+    mate = np.empty(labels.size, dtype=np.int64)
+    mate[labels[0::2]], mate[labels[1::2]] = labels[1::2], labels[0::2]
+    return HalfEdgeGraph(np.concatenate(([0], np.cumsum(degrees))), mate)
+
+
+# vertex 0 has degree 0, vertex 1 a self-loop and a double edge to vertex 2
+LOOPY = HalfEdgeGraph(np.array([0, 0, 4, 6]), np.array([1, 0, 4, 5, 2, 3]))
+
+
+@given(loopy_graphs(), st.integers(0, 4), st.integers(1, 200), st.integers(0, 2**10 - 1))
+@example(LOOPY, 4, 1, 7)
+@example(LOOPY, 3, 200, 6)
+def test_walk_keys_match_the_oracle(g, depth, budget, chosen):
+    # roots are the vertices whose bit is set in chosen, in increasing order
+    roots = np.array([v for v in range(g.n) if chosen >> v & 1], dtype=np.int64)
+    cost = traversal._walk_counts(g, depth)[0][roots]
+    vb = traversal._vertex_bits(g.n)
+    listed, hi = [], 0
+    for lo, hi_next, pair, length in traversal._walk_keys(g, roots, depth, cost, budget):
+        assert lo == hi and hi_next > lo
+        assert hi_next == lo + 1 or cost[lo:hi_next].sum() <= budget
+        hi = hi_next
+        root = roots[lo + (pair >> vb)]
+        listed.extend(zip(root.tolist(), (pair & ((1 << vb) - 1)).tolist(), length.tolist()))
+    assert hi == roots.size
+    assert listed == walk_keys(g, roots, depth)
 
 
 def test_boundary_counts_past_the_walk_explosion():

@@ -21,6 +21,7 @@ from cmgiant.local_limit import (
     _draw_roots,
     simulate_offspring_generations,
 )
+from oracles import offspring_generations_loop, unimodular_bp_loop
 from strategies import pmf_dicts, pmfs
 
 
@@ -275,6 +276,33 @@ def test_single_tree_streams_are_pinned():
     starts = [(1, None), (2, None), (1, 40), (5, 100), (1, None), (1, None), (1, None), (1, None)]
     runs = [as_tuple(simulate_offspring_generations(spec, b0, 3, rng, cap=cap)) for b0, cap in starts]
     assert runs == PINNED_FORWARD
+
+
+@given(
+    pmf_dicts(),
+    st.integers(0, 8),
+    st.integers(1, 200),
+    st.integers(1, 50),
+    st.one_of(st.none(), st.integers(1, 200)),
+    st.integers(0, 2**32 - 1),
+)
+def test_single_tree_samplers_match_the_reference_loops(masses, generations, cap, b0, forward_cap, seed):
+    # several trees of each sampler from one generator: each run must leave
+    # the stream where the reference loop leaves it
+    spec = spec_of(masses)
+    mine, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(4):
+        runs = [
+            (as_tuple(simulate_unimodular_bp(spec, generations, cap, mine)),
+             unimodular_bp_loop(spec, generations, cap, ref)),
+            (as_tuple(simulate_offspring_generations(spec, b0, generations, mine, cap=forward_cap)),
+             offspring_generations_loop(spec, b0, generations, ref, cap=forward_cap)),
+        ]
+        for run, expected in runs:
+            assert run == expected
+            sizes, total, _ = run
+            assert all(type(x) is int for x in (*sizes, total))
+    assert mine.random() == ref.random()
 
 
 @pytest.mark.parametrize("seed", range(5))

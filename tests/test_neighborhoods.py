@@ -15,6 +15,7 @@ from cmgiant import (
     HalfEdgeGraph,
     Pmf,
     RootedBall,
+    boundary_pair_fraction,
     bp_ball_distribution,
     build_offspring_spec,
     canonical_ball,
@@ -26,7 +27,7 @@ from cmgiant import (
     sample_iid_degrees,
     tv_distance,
 )
-from cmgiant import neighborhoods
+from cmgiant import neighborhoods, traversal
 from cmgiant.neighborhoods import DEFAULT_BALL_CAP, OVERSIZE_BALL, extract_ball
 from oracles import ball_census, bp_ball_census, rows_reference, tree_code
 from strategies import degree_lists, pmf_dicts
@@ -174,6 +175,29 @@ def test_code_invariant_under_relabeling(n, data):
 
 # ---------------------------------------------------------------------------
 # hand-built examples
+
+
+NEGATIVE_RADIUS_CALLS = {
+    "boundary_counts": lambda g, cs, spec: traversal.boundary_counts(g, -1),
+    "boundary_pair_fraction": lambda g, cs, spec: boundary_pair_fraction(g, cs, -1),
+    "extract_ball": lambda g, cs, spec: extract_ball(g, 0, -1),
+    "canonical_ball": lambda g, cs, spec: canonical_ball(g, 0, -1),
+    "empirical_ball_distribution": lambda g, cs, spec: empirical_ball_distribution(g, -1),
+    "restricted_ball_distribution": lambda g, cs, spec: restricted_ball_distribution(g, -1, cs),
+    "bp_ball_distribution": lambda g, cs, spec: bp_ball_distribution(
+        spec, -1, 10, np.random.default_rng(0)
+    ),
+}
+
+
+@pytest.mark.parametrize("name", NEGATIVE_RADIUS_CALLS)
+def test_negative_radius_is_rejected(name):
+    # a path 0 - 1 - 2
+    g = graph_from([1, 2, 1], [1, 0, 3, 2])
+    cs = component_decomposition(g)
+    spec = build_offspring_spec(Pmf.from_dict({1: 0.5, 3: 0.5}))
+    with pytest.raises(ValueError, match=r"\br=-1\b"):
+        NEGATIVE_RADIUS_CALLS[name](g, cs, spec)
 
 
 def test_star_and_path_get_distinct_codes():
