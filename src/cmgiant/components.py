@@ -33,55 +33,81 @@ class ComponentSummary:
         return int(self.sizes.size)
 
 
-def _min_vertex_labels(g: HalfEdgeGraph) -> np.ndarray:
-    """Label every vertex with the smallest vertex id in its component.
+def _component_ids(g: HalfEdgeGraph) -> tuple[np.ndarray, int]:
+    """Number the m components of g 0..m-1 in the order of their smallest
+    vertex; return (vertex -> component id, m).
 
     Min-label hooking with pointer jumping, in the style of Shiloach and
-    Vishkin (1982). `label` is a forest whose pointers never increase, and
-    after each round of jumping every vertex points at its tree's root. Each
-    round hooks, for every edge whose endpoints still have different roots,
-    the larger root under the smaller one, then jumps until every tree is a
-    star. Edges are carried as pairs of roots and dropped once both ends
-    share one, so later rounds touch only the edges still crossing trees.
+    Vishkin (1982), on a graph contracted after every round. A round hooks
+    every vertex under its smallest neighbour when that is smaller, jumps
+    pointers until every tree is a star, drops the edges inside a tree and
+    renames the roots 0..m'-1 in increasing order. The next round runs on
+    those m' vertices and on the edges still crossing between them. A root
+    is the smallest vertex of its tree and the renaming keeps order, so each
+    vertex's order is that of the smallest original vertex it holds.
     """
+    # owner is nondecreasing in the half-edge label, so lo <= hi here; the
+    # gathers are ordered so that at most three edge arrays are alive at once
     x = np.flatnonzero(np.arange(g.num_half_edges) < g.mate)
-    u, v = g.owner[x], g.owner[g.mate[x]]
-    label = np.arange(g.n, dtype=np.int64)
-    while True:
-        u, v = label[u], label[v]
-        cross = u != v
-        if not cross.any():
-            return label
-        u, v = np.minimum(u[cross], v[cross]), np.maximum(u[cross], v[cross])
-        np.minimum.at(label, v, u)
+    hi = g.mate[x]
+    lo = g.owner[x]
+    del x
+    hi = g.owner[hi]
+    m = g.n
+    # ids maps vertices to the first round's roots, later those to the last
+    ids = later = None
+    while lo.size:
+        label = np.arange(m)
+        np.minimum.at(label, hi, lo)
         while True:
             jumped = label[label]
             if np.array_equal(jumped, label):
                 break
             label = jumped
+        del jumped
+        lo = label[lo]
+        hi = label[hi]
+        cross = lo != hi
+        u, v = lo[cross], hi[cross]
+        del lo, hi, cross
+        rename = np.cumsum(label == np.arange(m))
+        rename -= 1
+        m = int(rename[-1]) + 1
+        new = rename[label]
+        del label
+        if ids is None:
+            ids = new
+        else:
+            later = new if later is None else new[later]
+        del new
+        lo = rename[np.minimum(u, v)]
+        hi = rename[np.maximum(u, v, out=u)]
+        del u, v, rename
+    if ids is None:
+        return np.arange(m), m
+    return (ids if later is None else later[ids]), m
 
 
 def component_decomposition(g: HalfEdgeGraph) -> ComponentSummary:
-    """Decompose g into connected components by label propagation.
+    """Decompose g into connected components by contracting min-label hooking.
 
-    Every vertex is first labeled by the smallest vertex of its component
-    (`_min_vertex_labels`). Components are ranked with one lexsort on
-    (-size, smallest vertex); the per-cluster edge counts come from one
-    bincount of degrees over ranks.
+    `_component_ids` numbers the components by their smallest vertex; one
+    stable argsort of the negated sizes then ranks them by (-size, smallest
+    vertex). The per-cluster edge counts come from one bincount of degrees
+    over ranks.
     """
-    n = g.n
-    root = _min_vertex_labels(g)
-    counts = np.bincount(root, minlength=n)
-    mins = np.flatnonzero(counts)
-    ranked = mins[np.lexsort((mins, -counts[mins]))]
-    rank_of = np.empty(n, dtype=np.int64)
-    rank_of[ranked] = np.arange(ranked.size, dtype=np.int64)
-    labels = rank_of[root]
+    ids, m = _component_ids(g)
+    counts = np.bincount(ids, minlength=m)
+    ranked = np.argsort(-counts, kind="stable")
+    rank_of = np.empty(m, dtype=np.int64)
+    rank_of[ranked] = np.arange(m, dtype=np.int64)
+    labels = rank_of[ids]
+    del ids
     sizes = counts[ranked]
 
     degrees = g.degrees()
     # Both half-edges of every edge lie inside its cluster.
-    edges = np.bincount(labels, weights=degrees, minlength=sizes.size).astype(np.int64) // 2
+    edges = np.bincount(labels, weights=degrees, minlength=m).astype(np.int64) // 2
     return ComponentSummary(sizes=sizes, per_cluster_edges=edges, labels=labels, degrees=degrees)
 
 

@@ -673,7 +673,7 @@ def main(argv: list[str] | None = None) -> int:
     # the subcommand supplies the experiment; the config file need not repeat it
     try:
         data = load_config(args.config) if args.config else {}
-        cfg = config_from_dict(_apply_overrides(data, args))
+        cfg = config_from_dict(_apply_overrides(data, args), source=args.config or "<config>")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -24,6 +24,52 @@ def distances_from(g, v: int) -> np.ndarray:
     return dist
 
 
+def min_vertex_labels(g) -> np.ndarray:
+    """Label every vertex with the smallest vertex id in its component.
+
+    Min-label hooking with pointer jumping, in the style of Shiloach and
+    Vishkin (1982). `label` is a forest whose pointers never increase, and
+    after each round of jumping every vertex points at its tree's root. Each
+    round hooks, for every edge whose endpoints still have different roots,
+    the larger root under the smaller one, then jumps until every tree is a
+    star. Edges are carried as pairs of roots and dropped once both ends
+    share one, so later rounds touch only the edges still crossing trees.
+    """
+    x = np.flatnonzero(np.arange(g.num_half_edges) < g.mate)
+    u, v = g.owner[x], g.owner[g.mate[x]]
+    label = np.arange(g.n, dtype=np.int64)
+    while True:
+        u, v = label[u], label[v]
+        cross = u != v
+        if not cross.any():
+            return label
+        u, v = np.minimum(u[cross], v[cross]), np.maximum(u[cross], v[cross])
+        np.minimum.at(label, v, u)
+        while True:
+            jumped = label[label]
+            if np.array_equal(jumped, label):
+                break
+            label = jumped
+
+
+def min_label_decomposition(g):
+    """(sizes, per_cluster_edges, labels, degrees) of g on the full vertex
+    array: components labeled by `min_vertex_labels`, then ranked with one
+    lexsort on (-size, smallest vertex)."""
+    n = g.n
+    root = min_vertex_labels(g)
+    counts = np.bincount(root, minlength=n)
+    mins = np.flatnonzero(counts)
+    ranked = mins[np.lexsort((mins, -counts[mins]))]
+    rank_of = np.empty(n, dtype=np.int64)
+    rank_of[ranked] = np.arange(ranked.size, dtype=np.int64)
+    labels = rank_of[root]
+    sizes = counts[ranked]
+    degrees = g.degrees()
+    edges = np.bincount(labels, weights=degrees, minlength=sizes.size).astype(np.int64) // 2
+    return sizes, edges, labels, degrees
+
+
 def boundary_counts_bfs(g, r: int) -> np.ndarray:
     """|∂B_r(v)| for every vertex v, counted from single-source distances."""
     return np.array([int(np.sum(distances_from(g, v) == r)) for v in range(g.n)], dtype=np.int64)

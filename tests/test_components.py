@@ -10,15 +10,19 @@ from hypothesis import strategies as st
 from cmgiant import (
     DegreeSequence,
     HalfEdgeGraph,
+    Pmf,
     component_decomposition,
+    coupled_pairing,
     disconnected_pair_fraction,
     disjoint_union,
     giant_statistics,
     pair_half_edges,
+    sample_iid_degrees,
     sum_squares_ratio,
+    truncate_explode,
 )
 from cmgiant import traversal
-from oracles import boundary_counts_bfs, distances_from, walk_keys
+from oracles import boundary_counts_bfs, distances_from, min_label_decomposition, walk_keys
 from strategies import degree_lists
 
 
@@ -91,7 +95,7 @@ def test_decomposition_of_disjoint_union_matches_reference(left, right, seed):
 
 def test_shuffled_cycle_is_one_component():
     # a cycle visiting the vertices in random order puts the smallest id far
-    # from most vertices, the slowest case for min-label propagation
+    # from most vertices, the slowest case for min-label hooking
     n = 10_000
     order = np.random.default_rng(4).permutation(n)
     mate = np.empty(2 * n, dtype=np.int64)
@@ -100,6 +104,49 @@ def test_shuffled_cycle_is_one_component():
     cs = assert_matches_reference(graph_from([2] * n, mate))
     assert cs.sizes.tolist() == [n]
     assert cs.per_cluster_edges.tolist() == [n]
+
+
+def assert_matches_min_label_reference(g):
+    cs = component_decomposition(g)
+    fields = ("sizes", "per_cluster_edges", "labels", "degrees")
+    for name, want in zip(fields, min_label_decomposition(g)):
+        got = getattr(cs, name)
+        assert got.dtype == want.dtype, name
+        assert np.array_equal(got, want), name
+    return cs
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("law", [{1: 0.5, 3: 0.5}, {1: 0.4, 4: 0.3, 10: 0.3}])
+def test_decomposition_matches_min_label_reference_on_pairings(law, seed):
+    rng = np.random.default_rng(seed)
+    seq = sample_iid_degrees(Pmf.from_dict(law), 20_000, rng)
+    assert_matches_min_label_reference(pair_half_edges(seq, rng))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_decomposition_matches_min_label_reference_on_truncation(seed):
+    # the exploded graph has about 2.4n degree-1 vertices: mostly tiny clusters
+    rng = np.random.default_rng(seed)
+    seq = sample_iid_degrees(Pmf.from_dict({1: 0.4, 4: 0.3, 10: 0.3}), 10_000, rng)
+    g, gp = coupled_pairing(truncate_explode(seq, 3), rng)
+    for graph in (g, gp):
+        assert_matches_min_label_reference(graph)
+
+
+def test_decomposition_matches_min_label_reference_on_equal_cycles():
+    # 400 cycles of 50 vertices each, on a shuffled vertex order: every
+    # cluster ties on size, and a cycle's smallest vertex is far from most
+    # of its vertices, so the ties are carried through several contractions
+    n, length = 20_000, 50
+    order = np.random.default_rng(9).permutation(n).reshape(-1, length)
+    mate = np.empty(2 * n, dtype=np.int64)
+    tail, head = 2 * order + 1, 2 * np.roll(order, -1, axis=1)
+    mate[tail], mate[head] = head, tail
+    cs = assert_matches_min_label_reference(graph_from([2] * n, mate))
+    assert cs.sizes.tolist() == [length] * (n // length)
+    firsts = np.sort(order.min(axis=1))
+    assert np.array_equal(cs.labels[firsts], np.arange(n // length))
 
 
 def test_self_loops_and_parallel_edges():

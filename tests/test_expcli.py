@@ -688,7 +688,9 @@ def test_main_unsuited_config_exits_two_naming_it(tmp_path, monkeypatch, capsys,
     with open("cfg.json", "w") as fh:
         json.dump({"n": [400], "seeds": [0], **config}, fh)
     assert main([*argv, "--config", "cfg.json", "--out", "out"]) == 2
-    assert f"'{field}'" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"'{field}'" in err
+    assert "cfg.json: " in err
     assert not os.path.exists("out")
 
 
