@@ -20,7 +20,6 @@ from .components import (
 from .coupling import (
     CouplingTrace,
     coupled_exploration,
-    coupled_pair_exploration,
     reuse_bounds,
 )
 from .degree_model import (
@@ -83,7 +82,6 @@ __all__ = [
     "canonical_code",
     "component_decomposition",
     "coupled_exploration",
-    "coupled_pair_exploration",
     "coupled_pairing",
     "disconnected_pair_fraction",
     "disjoint_union",

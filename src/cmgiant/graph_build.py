@@ -14,6 +14,8 @@ import numpy as np
 
 from .degree_model import DegreeSequence
 
+_VALIDATE_SLICE = 1 << 20
+
 
 class HalfEdgeGraph:
     """Multigraph on [n] stored as a fixed-point-free involution on labels.
@@ -62,7 +64,8 @@ class HalfEdgeGraph:
         return self.owner[self.mate[self.offsets[v]:self.offsets[v + 1]]]
 
     def validate(self) -> None:
-        """Check the matching is a fixed-point-free involution on the labels."""
+        """Check the matching is a fixed-point-free involution on the labels,
+        a slice of _VALIDATE_SLICE labels at a time to bound its temporary arrays."""
         ell = self.num_half_edges
         if ell % 2 != 0:
             raise ValueError("odd number of half-edges cannot be matched")
@@ -70,9 +73,14 @@ class HalfEdgeGraph:
             raise ValueError("mate array length does not match the label count")
         if ell and (self.mate.min() < 0 or self.mate.max() >= ell):
             raise ValueError("mate contains labels out of range")
-        if not np.array_equal(self.mate[self.mate], np.arange(ell)):
-            raise ValueError("mate is not an involution")
-        if np.any(self.mate == np.arange(ell)):
+        fixed_point = False
+        for start in range(0, ell, _VALIDATE_SLICE):
+            labels = np.arange(start, min(start + _VALIDATE_SLICE, ell))
+            mates = self.mate[start:start + _VALIDATE_SLICE]
+            if not np.array_equal(self.mate[mates], labels):
+                raise ValueError("mate is not an involution")
+            fixed_point = fixed_point or bool(np.any(mates == labels))
+        if fixed_point:
             raise ValueError("mate has a fixed point (a half-edge paired with itself)")
 
     def adjacency(self) -> tuple[list[int], list[int]]:
@@ -86,15 +94,6 @@ class HalfEdgeGraph:
             nbr = self.owner[self.mate]
             self._adjacency = (self.offsets.tolist(), nbr.tolist())
         return self._adjacency
-
-    def edge_iter(self):
-        """Yield each edge once as an ordered pair (u, v) with u <= v."""
-        for x in range(self.num_half_edges):
-            y = int(self.mate[x])
-            if x < y:
-                u = int(self.owner[x])
-                v = int(self.owner[y])
-                yield (u, v) if u <= v else (v, u)
 
 
 @dataclass(frozen=True)

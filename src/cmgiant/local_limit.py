@@ -9,10 +9,11 @@ Every sampler here tracks generation sizes only and takes the same step:
 the children of a generation of m forward individuals are one multinomial
 draw over the forward law, weighted by its support. The single-tree samplers
 take that step with an int and sum the draw against the support in Python.
-The Monte Carlo estimators run all their trees in lockstep: one draw of
-every root, then, per generation, one multinomial over the trees still
-alive, in increasing sample index. Each law is turned into arrays, and for
-the single-tree samplers into Python lists, once per OffspringSpec.
+The Monte Carlo estimators share one lockstep loop over all their trees:
+one draw of every root, then, per generation, one multinomial over the
+trees still alive, in increasing sample index; it yields each tree's total
+progeny and the size of one generation. Each law is turned into arrays, and
+for the single-tree samplers into Python lists, once per OffspringSpec.
 """
 from __future__ import annotations
 
@@ -199,11 +200,40 @@ def _draw_roots(spec: OffspringSpec, rng: np.random.Generator, size: int | None 
     return _choice(support, cdf, rng.random(size))
 
 
-def _next_generation(spec: OffspringSpec, rng: np.random.Generator, gen: np.ndarray):
-    """Children of the forward individuals of each tree, an int64 array of
-    one generation per tree, drawn in index order."""
+def _lockstep(spec: OffspringSpec, rng: np.random.Generator, samples: int, k: int, r: int):
+    """Total progeny and generation-r size of `samples` trees grown in lockstep.
+
+    One draw of every root, then per generation: add it to the totals,
+    record generation r, drop the trees that are empty or that are past r
+    with a total of k or more, and draw one multinomial over the rest, in
+    increasing sample index. A live tree gains at least one member per
+    generation, so at most k + r multinomials are drawn. A dropped tree's
+    total is final unless it reached k.
+    """
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got samples={samples}")
+    if k < 1:
+        raise ValueError(f"threshold k must be at least 1, got k={k}")
+    if r < 0:
+        raise ValueError(f"generation r must be nonnegative, got r={r}")
     support, probs = spec._arrays[2:4]
-    return rng.multinomial(gen, probs) @ support
+    total = np.ones(samples, dtype=np.int64)
+    size_at_r = np.full(samples, int(r == 0), dtype=np.int64)  # generation 0 is the root
+    live = np.arange(samples)
+    gen = _draw_roots(spec, rng, samples)
+    generation = 1
+    while True:
+        total[live] += gen
+        if generation == r:
+            size_at_r[live] = gen
+        keep = gen > 0
+        if generation >= r:
+            keep &= total[live] < k
+        live, gen = live[keep], gen[keep]
+        if not live.size:
+            return total, size_at_r
+        gen = rng.multinomial(gen, probs) @ support
+        generation += 1
 
 
 def zeta_geq_k(
@@ -218,18 +248,18 @@ def zeta_geq_k(
     exact mode builds the progeny distribution below k by iterating the
     truncated polynomial equation H <- s * G(H); a forward tree with t < k
     members has height below k, so k rounds make the low coefficients exact.
-    monte_carlo runs all `samples` trees in lockstep: one draw of every root,
-    then one multinomial step per generation over the trees still alive. A
-    tree leaves once its generation is empty or its total reaches k, so at
-    most k steps are taken.
+    monte_carlo runs all `samples` trees in lockstep (`_lockstep` with r = 0):
+    a tree leaves once its generation is empty or its total reaches k, so at
+    most k multinomials are drawn.
 
     Args:
         k: threshold, at least 1; exact mode requires k <= 30.
         mode: "exact" or "monte_carlo".
         rng: required for monte_carlo.
+        samples: tree count of monte_carlo, at least 1.
     """
     if k < 1:
-        raise ValueError("threshold must be at least 1")
+        raise ValueError(f"threshold k must be at least 1, got k={k}")
     if mode == "exact":
         if k > EXACT_PROGENY_MAX_K:
             raise ValueError(f"exact mode supports k <= {EXACT_PROGENY_MAX_K}")
@@ -246,15 +276,7 @@ def zeta_geq_k(
     if mode == "monte_carlo":
         if rng is None:
             raise ValueError("monte_carlo mode needs an rng")
-        gen = _draw_roots(spec, rng, samples)
-        total = 1 + gen
-        live = np.flatnonzero(total < k)
-        gen = gen[live]
-        while live.size:
-            gen = _next_generation(spec, rng, gen)
-            total[live] += gen
-            keep = (gen > 0) & (total[live] < k)
-            live, gen = live[keep], gen[keep]
+        total, _ = _lockstep(spec, rng, samples, k, 0)
         return int(np.count_nonzero(total >= k)) / samples
     raise ValueError(f"unknown mode {mode!r}")
 
@@ -359,30 +381,21 @@ def estimate_cond_limit(
 ) -> CondLimitEstimate:
     """Estimate P(progeny >= k, generation r < r_k) and its mirror image.
 
-    All `samples` trees run in lockstep: one draw of every root, then one
-    multinomial step per generation over the trees still alive. A tree
-    leaves once its generation is empty, or once generation r is recorded
-    and its total reaches k. A live tree gains at least one member per
-    generation, so at most k + r steps are taken.
+    All `samples` trees run in lockstep (`_lockstep`): a tree leaves once its
+    generation is empty, or once generation r is recorded and its total
+    reaches k.
+
+    Args:
+        k: progeny threshold, at least 1.
+        r: generation whose size is compared with r_k, at least 0.
+        r_k: boundary threshold, at least 1.
+        samples: tree count, at least 1.
     """
-    gen = _draw_roots(spec, rng, samples)
-    total = np.ones(samples, dtype=np.int64)
-    fat = np.full(samples, r == 0 and r_k <= 1)  # generation 0 is the root alone
-    live = np.arange(samples)
-    generation = 1
-    while True:
-        if generation == r:
-            fat[live] = gen >= r_k
-        keep = gen > 0
-        if generation >= r:
-            keep &= total[live] < k
-        live, gen = live[keep], gen[keep]
-        if not live.size:
-            break
-        total[live] += gen
-        gen = _next_generation(spec, rng, gen)
-        generation += 1
+    if r_k < 1:
+        raise ValueError(f"boundary threshold r_k must be at least 1, got r_k={r_k}")
+    total, size_at_r = _lockstep(spec, rng, samples, k, r)
     big = total >= k
+    fat = size_at_r >= r_k
     return CondLimitEstimate(
         big_cluster_small_boundary=int(np.count_nonzero(big & ~fat)) / samples,
         small_cluster_big_boundary=int(np.count_nonzero(~big & fat)) / samples,

@@ -90,12 +90,6 @@ class RootedBall:
     radius: int
     boundary_size: int
 
-    def degree_in_ball(self, v: int) -> int:
-        d = 0
-        for a, b in self.edges:
-            d += (a == v) + (b == v)
-        return d
-
 
 @dataclass(frozen=True)
 class CanonicalBall:

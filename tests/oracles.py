@@ -8,6 +8,22 @@ from cmgiant import canonical_ball
 from cmgiant.neighborhoods import OVERSIZE_BALL, CanonicalBall
 
 
+def edge_iter(g):
+    """Yield each edge of g once as an ordered pair (u, v) with u <= v."""
+    for x in range(g.num_half_edges):
+        y = int(g.mate[x])
+        if x < y:
+            u = int(g.owner[x])
+            v = int(g.owner[y])
+            yield (u, v) if u <= v else (v, u)
+
+
+def degree_in_ball(ball, v: int) -> int:
+    """Half-edges of ball vertex v that stay inside the ball (a self-loop
+    counts 2)."""
+    return sum((a == v) + (b == v) for a, b in ball.edges)
+
+
 def distances_from(g, v: int) -> np.ndarray:
     """Single-source breadth-first distances in g (-1 for unreachable)."""
     offsets, nbr = g.adjacency()

@@ -22,7 +22,7 @@ from cmgiant import (
     truncate_explode,
 )
 from cmgiant import traversal
-from oracles import boundary_counts_bfs, distances_from, min_label_decomposition, walk_keys
+from oracles import boundary_counts_bfs, distances_from, edge_iter, min_label_decomposition, walk_keys
 from strategies import degree_lists
 
 
@@ -63,7 +63,7 @@ def reference_decomposition(g):
         labels[m] = rank
     degrees = g.degrees()
     hists = [dict(Counter(degrees[m].tolist())) for m in members]
-    edge_counts = Counter(int(labels[u]) for u, _ in g.edge_iter())
+    edge_counts = Counter(int(labels[u]) for u, _ in edge_iter(g))
     edges = [edge_counts[rank] for rank in range(len(members))]
     return [m.size for m in members], labels, hists, edges
 

@@ -5,13 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from scipy import stats
 
 from cmgiant import (
     DegreeSequence,
     Pmf,
     coupled_exploration,
-    coupled_pair_exploration,
     reuse_bounds,
     sample_iid_degrees,
 )
@@ -68,7 +66,7 @@ def test_argument_validation():
     with pytest.raises(ValueError):
         coupled_exploration(seq, 5, 3, rng)
     with pytest.raises(ValueError):
-        coupled_pair_exploration(seq, (0, 0), 3, rng)
+        coupled_exploration(seq, -1, 3, rng)
 
 
 @given(degree_lists(max_n=30), st.integers(1, 40), st.integers(0, 2**32 - 1))
@@ -173,49 +171,6 @@ def test_divergence_free_fraction(mixture_seq):
     assert free / runs >= 1.0 - 3.0 * (bounds.half_edge + bounds.vertex)
 
 
-def test_two_root_runs_share_clock_but_not_state():
-    seq = sample_iid_degrees(MIXTURE, 5000, np.random.default_rng(70))
-    ta, tb = coupled_pair_exploration(seq, (3, 1234), 25, np.random.default_rng(8))
-    for t, root in ((ta, 3), (tb, 1234)):
-        assert t.root == root
-        assert t.budget == 25
-        assert t.graph_vertices <= 25
-        assert sum(t.graph_generation_sizes) == t.graph_vertices
-
-
-def test_two_root_bp_totals_uncorrelated():
-    seq = sample_iid_degrees(MIXTURE, 5000, np.random.default_rng(70))
-    tot_a, tot_b = [], []
-    rng_roots = np.random.default_rng(123)
-    for seed in range(1500):
-        r0, r1 = rng_roots.choice(seq.n, size=2, replace=False)
-        ta, tb = coupled_pair_exploration(
-            seq, (int(r0), int(r1)), 30, np.random.default_rng(9000 + seed)
-        )
-        tot_a.append(ta.bp_total)
-        tot_b.append(tb.bp_total)
-    corr = np.corrcoef(tot_a, tot_b)[0, 1]
-    assert abs(corr) <= 0.05
-
-
-def test_two_root_bp_totals_match_single_root_law():
-    seq = sample_iid_degrees(MIXTURE, 5000, np.random.default_rng(70))
-    rng_roots = np.random.default_rng(123)
-    paired, singles = [], []
-    for seed in range(800):
-        r0, r1 = rng_roots.choice(seq.n, size=2, replace=False)
-        ta, tb = coupled_pair_exploration(
-            seq, (int(r0), int(r1)), 30, np.random.default_rng(9000 + seed)
-        )
-        paired.append(ta.bp_total)
-        paired.append(tb.bp_total)
-    for seed in range(1600):
-        r0 = int(rng_roots.integers(0, seq.n))
-        t = coupled_exploration(seq, r0, 30, np.random.default_rng(40000 + seed))
-        singles.append(t.bp_total)
-    assert stats.ks_2samp(paired, singles).pvalue > 0.001
-
-
 # Every field a trace records; repr keeps the steps and the value types.
 TRACE_FIELDS = (
     "root",
@@ -250,22 +205,8 @@ def _single_root_runs():
     return [_fields(t) for t in traces], rng
 
 
-def _two_root_runs():
-    rng = np.random.default_rng(2025)
-    traces = []
-    for _ in range(100):
-        degrees = rng.integers(1, 6, size=int(rng.integers(2, 41)))
-        degrees[0] += int(degrees.sum()) % 2
-        seq = DegreeSequence(degrees)
-        roots = rng.choice(seq.n, size=2, replace=False).tolist()
-        traces.extend(coupled_pair_exploration(seq, tuple(roots), seq.n + 1, rng))
-    assert sum(t.half_edge_reuses for t in traces) > 0
-    return [_fields(t) for t in traces], rng
-
-
 PINNED_TRACES = {
     _single_root_runs: "15c5e9723438982467efab1a1342523ba5f323133231e4a32103eb3dc641a9d7",
-    _two_root_runs: "36872495382758c67d066f3a5d527181e0c80c5bde75c090fd085fb168ff17dc",
 }
 
 

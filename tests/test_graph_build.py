@@ -16,6 +16,7 @@ from cmgiant import (
     pair_half_edges,
     truncate_explode,
 )
+from oracles import edge_iter
 from strategies import degree_lists
 
 
@@ -29,7 +30,7 @@ def test_two_degree_one_vertices_forced_edge():
     assert g.mate.tolist() == [1, 0]
     assert g.num_edges == 1
     assert g.neighbors(0).tolist() == [1]
-    assert list(g.edge_iter()) == [(0, 1)]
+    assert list(edge_iter(g)) == [(0, 1)]
 
 
 def test_single_vertex_forced_self_loop():
@@ -38,7 +39,7 @@ def test_single_vertex_forced_self_loop():
     assert g.num_edges == 1
     # the self-loop shows up twice in the neighbor multiset, once as an edge
     assert g.neighbors(0).tolist() == [0, 0]
-    assert list(g.edge_iter()) == [(0, 0)]
+    assert list(edge_iter(g)) == [(0, 0)]
 
 
 def test_self_loop_probability_one_third():
@@ -92,6 +93,29 @@ def test_validate_rejects_broken_matchings():
     bad = np.array([2, 3, 1, 0])  # not an involution
     with pytest.raises(ValueError):
         HalfEdgeGraph(np.array([0, 2, 4]), bad).validate()
+
+
+def test_validate_checks_past_the_first_slice():
+    # validate checks the labels a slice at a time; each fault sits only in
+    # the second slice, and an involution fault wins over a fixed point, as
+    # in a check over all labels at once
+    ell = 2**20 + 64
+    offsets = np.arange(0, ell + 1, 2)
+    good = np.arange(ell) ^ 1
+    HalfEdgeGraph(offsets, good).validate()
+    x = 2**20 + 8
+    swapped = good.copy()
+    swapped[x] = x + 2  # x + 2 stays paired with x + 3
+    with pytest.raises(ValueError, match="not an involution"):
+        HalfEdgeGraph(offsets, swapped).validate()
+    fixed = good.copy()
+    fixed[x], fixed[x + 1] = x, x + 1
+    with pytest.raises(ValueError, match="fixed point"):
+        HalfEdgeGraph(offsets, fixed).validate()
+    fixed[2], fixed[3] = 2, 3
+    fixed[x], fixed[x + 1] = x + 2, x + 1
+    with pytest.raises(ValueError, match="not an involution"):
+        HalfEdgeGraph(offsets, fixed).validate()
 
 
 def test_truncate_explode_basic():

@@ -345,6 +345,77 @@ def test_lockstep_estimators_terminate_on_a_subcritical_law():
     assert est.small_cluster_big_boundary == 0.0
 
 
+# Per argument, every estimator call that must reject its bad value.
+BAD_ESTIMATOR_ARGUMENTS = {
+    "samples": [
+        lambda spec, rng: zeta_geq_k(spec, 5, mode="monte_carlo", rng=rng, samples=0),
+        lambda spec, rng: estimate_cond_limit(spec, k=5, r=1, r_k=2, samples=0, rng=rng),
+    ],
+    "k": [
+        lambda spec, rng: zeta_geq_k(spec, 0, mode="monte_carlo", rng=rng, samples=10),
+        lambda spec, rng: estimate_cond_limit(spec, k=0, r=1, r_k=2, samples=10, rng=rng),
+    ],
+    "r": [lambda spec, rng: estimate_cond_limit(spec, k=5, r=-1, r_k=2, samples=10, rng=rng)],
+    "r_k": [lambda spec, rng: estimate_cond_limit(spec, k=5, r=1, r_k=0, samples=10, rng=rng)],
+}
+
+
+@pytest.mark.parametrize("name", BAD_ESTIMATOR_ARGUMENTS)
+def test_estimators_reject_bad_arguments(name):
+    # the error names the argument, and no draw is made first
+    spec = spec_of({1: 0.5, 3: 0.5})
+    for call in BAD_ESTIMATOR_ARGUMENTS[name]:
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError, match=rf"\b{name}="):
+            call(spec, rng)
+        assert rng.random() == np.random.default_rng(0).random()
+
+
+# Monte Carlo zeta_geq_k at samples=3000, k = 1, 2, 5, 30, 50 from one
+# generator per law, as success counts, then the generator's next uniform.
+# Recorded before the two estimators shared one lockstep loop; the r = 0
+# loop must draw exactly as the zeta_geq_k loop did.
+PINNED_ZETA = [
+    ({1: 0.4, 4: 0.3, 10: 0.3}, [3000, 3000, 2897, 2902, 2897], 0.6701287839035561),
+    ({1: 0.5, 3: 0.5}, [3000, 3000, 2538, 2452, 2435], 0.35681424157021635),
+    ({1: 0.8, 3: 0.2}, [3000, 3000, 1173, 253, 125], 0.9193055289705812),
+    ({3: 1.0}, [3000, 3000, 3000, 3000, 3000], 0.9931813233694124),
+]
+# estimate_cond_limit at samples=3000 for (k, r, r_k) = (3, 0, 1), (5, 1, 2),
+# (30, 2, 5), (50, 3, 5) from one generator per law, as counts of the two
+# mismatch events, then the generator's next uniform. Recorded with the
+# shared lockstep loop, which draws no generation that it never reads.
+PINNED_COND = [
+    ({1: 0.4, 4: 0.3, 10: 0.3}, [(0, 105), (1109, 0), (308, 0), (1, 0)], 0.1141065628927721),
+    ({1: 0.5, 3: 0.5}, [(0, 352), (1087, 26), (1746, 0), (1342, 0)], 0.8614259685074018),
+    ({1: 0.8, 3: 0.2}, [(0, 1376), (683, 111), (231, 22), (114, 43)], 0.3853022410464858),
+    ({1: 0.2, 2: 0.3, 5: 0.5}, [(0, 30), (575, 7), (664, 0), (118, 0)], 0.2400303309224069),
+]
+
+
+@pytest.mark.parametrize("index", range(len(PINNED_ZETA)))
+def test_lockstep_zeta_stream_is_pinned(index):
+    masses, counts, next_uniform = PINNED_ZETA[index]
+    spec = spec_of(masses)
+    rng = np.random.default_rng(100 + index)
+    values = [zeta_geq_k(spec, k, mode="monte_carlo", rng=rng, samples=3000) for k in (1, 2, 5, 30, 50)]
+    assert values == [c / 3000 for c in counts]
+    assert rng.random() == next_uniform
+
+
+@pytest.mark.parametrize("index", range(len(PINNED_COND)))
+def test_lockstep_cond_limit_stream_is_pinned(index):
+    masses, counts, next_uniform = PINNED_COND[index]
+    spec = spec_of(masses)
+    rng = np.random.default_rng(200 + index)
+    values = []
+    for k, r, r_k in ((3, 0, 1), (5, 1, 2), (30, 2, 5), (50, 3, 5)):
+        est = estimate_cond_limit(spec, k, r, r_k, 3000, rng)
+        values.append((est.big_cluster_small_boundary, est.small_cluster_big_boundary))
+    assert values == [(a / 3000, b / 3000) for a, b in counts]
+    assert rng.random() == next_uniform
+
+
 def test_envelope_first_step():
     env = envelope_recursion(10, 1.5, 0.6, 1)
     assert env.over[1] == pytest.approx(15 + 10**0.6)
