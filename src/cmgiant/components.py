@@ -163,6 +163,9 @@ def boundary_pair_fraction(g: HalfEdgeGraph, cs: ComponentSummary, r: int) -> fl
     Substitutes a local quantity (a fat distance-r boundary) for raw cluster
     size; the same cross-cluster pair count formula applies to the per-cluster
     counts of vertices passing the boundary test. cs is the decomposition of g.
+    The test only asks whether |∂B_r| >= r, so it reads boundary_counts,
+    which are saturated at r and exact below it: roots whose first walks of
+    length r do not settle the test get a breadth-first search there.
     """
     bc = boundary_counts(g, r)
     passing = bc >= r

@@ -8,8 +8,9 @@ chunk of roots at a time, as sorted (root, endpoint, length) keys packed
 into one int64 each: root index, then endpoint, then length, in bit fields
 that shifts and masks read back. After its first step a walk takes deg - 1
 slots at the vertex it reached and steps over the half-edge it arrived by.
-boundary_counts reads distances off those keys, and the graph-side ball
-census (neighborhoods) reads cycles off them.
+boundary_counts reads distances off those keys, listing only the first r
+walks of length r from each root since its counts saturate at r, and the
+graph-side ball census (neighborhoods) reads cycles off them.
 
 pair_distance is a bidirectional breadth-first search over the flat Python
 adjacency lists cached on the graph, with a set of visited vertices per side;
@@ -66,7 +67,19 @@ def _vertex_bits(n: int) -> int:
     return max(n - 1, 1).bit_length()
 
 
-def _walk_keys(g: HalfEdgeGraph, roots: np.ndarray, depth: int, cost: np.ndarray, budget: int):
+def _first_per_run(run: np.ndarray, width: np.ndarray, cap: int) -> np.ndarray:
+    """width clipped so that each run of equal, adjacent run values keeps
+    only its first cap units, in order."""
+    before = np.cumsum(width) - width
+    head = np.ones(run.size, dtype=bool)
+    head[1:] = run[1:] != run[:-1]
+    start = np.maximum.accumulate(np.where(head, before, 0))
+    return np.clip(start + cap - before, 0, width)
+
+
+def _walk_keys(
+    g: HalfEdgeGraph, roots: np.ndarray, depth: int, cost: np.ndarray, budget: int, cap: int | None = None
+):
     """Sorted keys of the non-backtracking walks of length depth or less.
 
     Roots go in consecutive chunks roots[lo:hi] of about budget walks, at
@@ -80,7 +93,12 @@ def _walk_keys(g: HalfEdgeGraph, roots: np.ndarray, depth: int, cost: np.ndarray
     The first step leaves the root by each of its half-edges. Each later
     step takes deg - 1 slots at the vertex the walk arrived at and skips the
     arrival half-edge: slot j is half-edge offsets[v] + j, plus one once
-    that reaches the arrival half-edge.
+    that reaches the arrival half-edge. So each level lists a root's walks
+    together, in the order of the half-edges they take.
+
+    With cap set and depth at least 1, only the first cap walks of length
+    depth of each root are listed, and cost must count them so; shorter
+    walks are all listed.
     """
     n, offsets, mate, owner = g.n, g.offsets, g.mate, g.owner
     degree = np.diff(offsets)
@@ -97,10 +115,11 @@ def _walk_keys(g: HalfEdgeGraph, roots: np.ndarray, depth: int, cost: np.ndarray
         at = roots[lo:hi]
         keys = [who | at << lb]
         for length in range(1, depth + 1):
-            if length == 1:
-                row, out = _ragged(offsets[at], degree[at])
-            else:
-                row, out = _ragged(offsets[at], degree[at] - 1)
+            width = degree[at] - (length > 1)
+            if length == depth and cap is not None:
+                width = _first_per_run(who, width, cap)
+            row, out = _ragged(offsets[at], width)
+            if length > 1:
                 out += out >= came[row]
             who, came = who[row], mate[out]
             at = owner[came]
@@ -111,44 +130,57 @@ def _walk_keys(g: HalfEdgeGraph, roots: np.ndarray, depth: int, cost: np.ndarray
 
 
 def boundary_counts(g: HalfEdgeGraph, r: int) -> np.ndarray:
-    """|∂B_r(v)| for every vertex v: the number of vertices at distance exactly r.
+    """min(|∂B_r(v)|, r) for every vertex v: the number of vertices at
+    distance exactly r, saturated at r.
 
-    A shortest path is a non-backtracking walk, so d(v, w) is the length of
-    the shortest non-backtracking walk from v to w. _walk_keys sorts the
-    keys of every such walk of length r or less, and v's boundary is the
-    number of its endpoints whose first key has length r. A root with more
-    walks than g has half-edges, more than a breadth-first search from it
-    can touch, gets that search instead.
+    The almost-local criterion only asks whether |∂B_r(v)| >= r, so a count
+    stops at r. A shortest path is a non-backtracking walk, so d(v, w) is
+    the length of the shortest non-backtracking walk from v to w.
+    _walk_keys sorts the keys of every walk of length below r and of the
+    first r walks of length r, and the endpoints whose first key has length
+    r are at distance r: a lower bound on |∂B_r(v)|, exact when v has r
+    walks of length r or fewer. A root whose bound falls short of r after
+    the cut, or that has more walks to list than g has half-edges, more
+    than a breadth-first search from it can touch, gets that search
+    instead.
     """
     _check_radius(r)
-    walks, _ = _walk_counts(g, r)
-    out = np.empty(g.n, dtype=np.int64)
+    if r == 0:
+        return np.zeros(g.n, dtype=np.int64)
+    shorter, last = _walk_counts(g, r - 1)
+    cost = shorter + np.minimum(last, r)
     # counts at _WALK_CLIP or more are saturated, so the bound stays below it
-    few = walks <= min(g.num_half_edges, _WALK_CLIP - 1)
+    few = cost <= min(g.num_half_edges, _WALK_CLIP - 1)
     roots = np.flatnonzero(few)
+    out = np.zeros(g.n, dtype=np.int64)
     vb = _vertex_bits(g.n)
-    for lo, hi, pair, length in _walk_keys(g, roots, r, walks[roots], _WALK_BUDGET):
+    for lo, hi, pair, length in _walk_keys(g, roots, r, cost[roots], _WALK_BUDGET, r):
         first = np.ones(pair.size, dtype=bool)
         first[1:] = pair[1:] != pair[:-1]
         out[roots[lo:hi]] = np.bincount(pair[first & (length == r)] >> vb, minlength=hi - lo)
-    rest = np.flatnonzero(~few).tolist()
-    if rest:
-        offsets, nbr = g.adjacency()
-        mark = [-1] * g.n
-        for v in rest:
-            mark[v] = v
-            frontier = [v]
-            for _ in range(r):
-                nxt = []
-                for u in frontier:
-                    for i in range(offsets[u], offsets[u + 1]):
-                        w = nbr[i]
-                        if mark[w] != v:
-                            mark[w] = v
-                            nxt.append(w)
-                frontier = nxt
-            out[v] = len(frontier)
+    rest = np.flatnonzero(~few | ((last > r) & (out < r)))
+    out[rest] = np.minimum(_sphere_sizes(g, rest, r), r)
     return out
+
+
+def _sphere_sizes(g: HalfEdgeGraph, roots: np.ndarray, r: int) -> list[int]:
+    """|∂B_r(v)| for each v in roots, by a breadth-first search from v that
+    grows each level with a few array operations."""
+    if not roots.size:
+        return []
+    offsets, mate, owner = g.offsets, g.mate, g.owner
+    degree = np.diff(offsets)
+    mark = np.full(g.n, -1, dtype=np.int64)
+    sizes = []
+    for v in roots:
+        mark[v] = v
+        frontier = np.array([v])
+        for _ in range(r):
+            w = owner[mate[_ragged(offsets[frontier], degree[frontier])[1]]]
+            frontier = np.unique(w[mark[w] != v])
+            mark[frontier] = v
+        sizes.append(frontier.size)
+    return sizes
 
 
 def pair_distance(g: HalfEdgeGraph, a: int, b: int) -> int | None:

@@ -91,21 +91,28 @@ def boundary_counts_bfs(g, r: int) -> np.ndarray:
     return np.array([int(np.sum(distances_from(g, v) == r)) for v in range(g.n)], dtype=np.int64)
 
 
-def walk_keys(g, roots, depth: int) -> list[tuple[int, int, int]]:
+def walk_keys(g, roots, depth: int, cap: int | None = None) -> list[tuple[int, int, int]]:
     """Every non-backtracking walk of length depth or less from each root, as
     (root, endpoint, length): a depth-first search per root, which leaves
-    each vertex by every half-edge but the one it came in on. The walks of a
-    root are sorted, and the roots keep their order."""
+    each vertex by every half-edge but the one it came in on, in increasing
+    order. With cap set, only the first cap walks of length depth >= 1 in
+    that order are kept. The walks of a root are sorted, and the roots keep
+    their order."""
     offsets, mate, owner = g.offsets.tolist(), g.mate.tolist(), g.owner.tolist()
     listed = []
     for v in np.asarray(roots).tolist():
         walks = []
+        last = 0  # walks of length depth kept so far
         stack = [(v, -1, 0)]
         while stack:
             u, came, length = stack.pop()
+            if length == depth > 0:
+                if cap is not None and last == cap:
+                    continue
+                last += 1
             walks.append((u, length))
             if length < depth:
-                for x in range(offsets[u], offsets[u + 1]):
+                for x in reversed(range(offsets[u], offsets[u + 1])):
                     if x != came:
                         stack.append((owner[mate[x]], mate[x], length + 1))
         listed.extend((v, w, length) for w, length in sorted(walks))

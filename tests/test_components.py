@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import dijkstra
 
 from cmgiant import (
     DegreeSequence,
@@ -277,17 +279,6 @@ def test_boundary_pair_fraction_two_cycles():
     )
 
 
-@given(degree_lists(), st.integers(0, 8), st.integers(1, 200), st.integers(0, 2**32 - 1))
-def test_boundary_counts_match_bfs(degrees, r, budget, seed):
-    # dense small multigraphs at large r pass the half-edge bound on walks,
-    # so both the walk keys and the per-root search run; a small walk budget
-    # splits the roots into many chunks
-    g = pair_half_edges(DegreeSequence(np.array(degrees)), np.random.default_rng(seed))
-    with mock.patch.object(traversal, "_WALK_BUDGET", budget):
-        counts = traversal.boundary_counts(g, r)
-    assert np.array_equal(counts, boundary_counts_bfs(g, r))
-
-
 @st.composite
 def loopy_graphs(draw):
     """Small multigraphs on a uniform pairing of their half-edges: vertices of
@@ -301,27 +292,55 @@ def loopy_graphs(draw):
     return HalfEdgeGraph(np.concatenate(([0], np.cumsum(degrees))), mate)
 
 
+def paired_graph(degrees, seed):
+    return pair_half_edges(DegreeSequence(np.array(degrees)), np.random.default_rng(seed))
+
+
+@given(
+    st.one_of(st.builds(paired_graph, degree_lists(), st.integers(0, 2**32 - 1)), loopy_graphs()),
+    st.integers(0, 8),
+    st.integers(1, 200),
+)
+def test_boundary_counts_match_bfs(g, r, budget):
+    # dense small multigraphs at large r pass the half-edge bound on walks,
+    # so both the walk keys and the per-root search run; a small walk budget
+    # splits the roots into many chunks
+    with mock.patch.object(traversal, "_WALK_BUDGET", budget):
+        counts = traversal.boundary_counts(g, r)
+    assert np.array_equal(counts, np.minimum(boundary_counts_bfs(g, r), r))
+
+
 # vertex 0 has degree 0, vertex 1 a self-loop and a double edge to vertex 2
 LOOPY = HalfEdgeGraph(np.array([0, 0, 4, 6]), np.array([1, 0, 4, 5, 2, 3]))
 
 
-@given(loopy_graphs(), st.integers(0, 4), st.integers(1, 200), st.integers(0, 2**10 - 1))
-@example(LOOPY, 4, 1, 7)
-@example(LOOPY, 3, 200, 6)
-def test_walk_keys_match_the_oracle(g, depth, budget, chosen):
+@given(
+    loopy_graphs(),
+    st.integers(0, 4),
+    st.integers(1, 200),
+    st.integers(0, 2**10 - 1),
+    st.none() | st.integers(0, 4),
+)
+@example(LOOPY, 4, 1, 7, None)
+@example(LOOPY, 3, 200, 6, None)
+@example(LOOPY, 3, 1, 7, 2)
+def test_walk_keys_match_the_oracle(g, depth, budget, chosen, cap):
     # roots are the vertices whose bit is set in chosen, in increasing order
     roots = np.array([v for v in range(g.n) if chosen >> v & 1], dtype=np.int64)
     cost = traversal._walk_counts(g, depth)[0][roots]
+    if cap is not None and depth:
+        last = cost - traversal._walk_counts(g, depth - 1)[0][roots]
+        cost -= last - np.minimum(last, cap)
     vb = traversal._vertex_bits(g.n)
     listed, hi = [], 0
-    for lo, hi_next, pair, length in traversal._walk_keys(g, roots, depth, cost, budget):
+    for lo, hi_next, pair, length in traversal._walk_keys(g, roots, depth, cost, budget, cap):
         assert lo == hi and hi_next > lo
         assert hi_next == lo + 1 or cost[lo:hi_next].sum() <= budget
         hi = hi_next
         root = roots[lo + (pair >> vb)]
         listed.extend(zip(root.tolist(), (pair & ((1 << vb) - 1)).tolist(), length.tolist()))
     assert hi == roots.size
-    assert listed == walk_keys(g, roots, depth)
+    assert listed == walk_keys(g, roots, depth, cap)
 
 
 def test_boundary_counts_past_the_walk_explosion():
@@ -331,7 +350,48 @@ def test_boundary_counts_past_the_walk_explosion():
     start = time.perf_counter()
     counts = traversal.boundary_counts(g, 40)
     assert time.perf_counter() - start < 0.5
-    assert np.array_equal(counts, boundary_counts_bfs(g, 40))
+    assert np.array_equal(counts, np.minimum(boundary_counts_bfs(g, 40), 40))
+
+
+# Root 0 of each graph has four walks of length 2, and the first two end
+# only one vertex at distance 2. On TRIANGLE, 0 is a corner of the triangle
+# 0-1-2 whose other corners hold the pendants 3 and 4; its first walks end
+# at 2 and 3. On DOUBLE, 0 has a double edge to 1, which holds the pendants
+# 2 and 3; its first walks end back at 0 and at 2.
+TRIANGLE = HalfEdgeGraph(np.array([0, 2, 5, 8, 9, 10]), np.array([2, 5, 0, 6, 8, 1, 3, 9, 4, 7]))
+DOUBLE = HalfEdgeGraph(np.array([0, 2, 6, 7, 8]), np.array([2, 3, 0, 1, 6, 7, 4, 5]))
+
+
+@pytest.mark.parametrize("g", [TRIANGLE, DOUBLE], ids=["triangle", "double_edge"])
+def test_boundary_counts_search_roots_whose_first_walks_collide(g):
+    g.validate()
+    with mock.patch.object(traversal, "_sphere_sizes", wraps=traversal._sphere_sizes) as search:
+        counts = traversal.boundary_counts(g, 2)
+    assert 0 in search.call_args.args[1]
+    assert counts[0] == 2
+    assert np.array_equal(counts, np.minimum(boundary_counts_bfs(g, 2), 2))
+
+
+def test_boundary_pair_fraction_matches_exact_counts_on_the_dense_law():
+    # on {1,4,10} at n=2e3 short cycles send many roots to the per-root
+    # search; the pair fraction is the one the exact counts give
+    from cmgiant import boundary_pair_fraction
+
+    pmf = Pmf((1, 4, 10), (0.4, 0.3, 0.3))
+    g = pair_half_edges(sample_iid_degrees(pmf, 2000, np.random.default_rng(5)), np.random.default_rng(5))
+    cs = component_decomposition(g)
+    # breadth-first distances up to 3 from every vertex, inf beyond
+    adjacency = csr_matrix((np.ones(g.num_half_edges), (g.owner, g.owner[g.mate])), shape=(g.n, g.n))
+    dist = dijkstra(adjacency, unweighted=True, limit=3)
+    searched = 0
+    for r in (1, 2, 3):
+        passing = np.count_nonzero(dist == r, axis=1) >= r
+        counts = np.bincount(cs.labels[passing], minlength=cs.num_clusters).astype(np.int64)
+        s, q = int(counts.sum()), int(np.sum(counts * counts))
+        with mock.patch.object(traversal, "_sphere_sizes", wraps=traversal._sphere_sizes) as search:
+            assert boundary_pair_fraction(g, cs, r) == (s * s - q) / (g.n * g.n)
+        searched += len(search.call_args.args[1])
+    assert searched >= 100
 
 
 @given(degree_lists(max_n=25), st.integers(1, 4), st.integers(0, 2**32 - 1))
