@@ -353,7 +353,7 @@ def test_boundary_counts_past_the_walk_explosion():
     assert np.array_equal(counts, np.minimum(boundary_counts_bfs(g, 40), 40))
 
 
-# Root 0 of each graph has four walks of length 2, and the first two end
+# Root 0 of each graph has four walks of length 2, and the first two reach
 # only one vertex at distance 2. On TRIANGLE, 0 is a corner of the triangle
 # 0-1-2 whose other corners hold the pendants 3 and 4; its first walks end
 # at 2 and 3. On DOUBLE, 0 has a double edge to 1, which holds the pendants
