@@ -64,10 +64,6 @@ class CouplingTrace:
     vertex_reuses: int
     exhausted: bool
 
-    @property
-    def bp_total(self) -> int:
-        return sum(self.bp_generation_sizes) + self.bp_next_partial
-
 
 class _Exploration:
     """Mutable state of one coupled run.

@@ -3,12 +3,15 @@
 A degree sequence assigns every vertex a degree of at least one; the total
 degree must be even so that half-edges can be paired into a multigraph.
 Finite-support probability mass functions describe the limiting degree
-distribution used by the branching-process side of the library.
+distribution used by the branching-process side of the library. Pmf.sample
+is the one rule that turns uniforms into values of a law, on either side.
 """
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Mapping
 
@@ -74,8 +77,27 @@ class Pmf:
     def min_value(self) -> int:
         return self.support[0]
 
-    def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        return rng.choice(np.array(self.support), size=n, p=np.array(self.probabilities))
+    @cached_property
+    def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Support, probabilities and cdf as arrays, built once per law; the
+        cdf is normalized as rng.choice normalizes it."""
+        probabilities = np.array(self.probabilities)
+        cdf = np.cumsum(probabilities)
+        cdf /= cdf[-1]
+        return np.array(self.support), probabilities, cdf
+
+    @cached_property
+    def _cdf_list(self) -> list[float]:
+        return self.arrays[2].tolist()
+
+    def sample(self, size: int | None, rng: np.random.Generator) -> int | np.ndarray:
+        """size values (one int for size None) from one rng.random(size) call,
+        as rng.choice(support, size, p=probabilities) draws them: each uniform
+        gives the first value whose cdf exceeds it (bisect_right for one)."""
+        if size is None:
+            return self.support[bisect_right(self._cdf_list, rng.random())]
+        support, _, cdf = self.arrays
+        return support[cdf.searchsorted(rng.random(size), side="right")]
 
 
 @dataclass(frozen=True)
@@ -135,7 +157,7 @@ def sample_iid_degrees(dist: Pmf, n: int, rng: np.random.Generator) -> DegreeSeq
         raise ValueError("need at least one vertex")
     if dist.min_value() < 1 or dist.mass(0) > 0:
         raise ValueError("degree distribution must not put mass at 0")
-    draws = dist.sample(n, rng).astype(np.int64)
+    draws = dist.sample(n, rng)
     if int(draws.sum()) % 2 != 0:
         draws[-1] += 1
     return DegreeSequence(draws)

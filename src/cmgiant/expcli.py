@@ -17,8 +17,9 @@ Randomness discipline: every job derives its generators from
 numpy.random.SeedSequence(seed, spawn_key=(purpose,)) with a fixed integer
 per purpose (0 degrees, 1 pairing, 2 analysis, 3 branching-process
 sampling; necessity_demo keys its two halves as (purpose, half)). Records
-are computed in parallel when --threads asks for it and sorted before
-writing, so output bytes depend only on the config and seeds.
+are computed in parallel when --threads asks for it, by at most one worker
+process per job, and sorted before writing, so output bytes depend only on
+the config and seeds.
 """
 from __future__ import annotations
 
@@ -383,6 +384,13 @@ _KNOWN_KEYS = {_CONFIG_KEY.get(f.name, f.name) for f in fields(ExperimentConfig)
 _DEFAULT_PMF = {1: 0.5, 3: 0.5}
 
 
+def _distinct(values: tuple[int, ...], name: str) -> tuple[int, ...]:
+    # a repeated n or seed would run one graph twice and count it as two seeds
+    if len(set(values)) < len(values):
+        raise ConfigError(f"field {name!r}: entries must be distinct, got {list(values)}")
+    return values
+
+
 def _parse_seeds(value) -> tuple[int, ...]:
     if isinstance(value, bool):
         raise ConfigError("field 'seeds': expected an integer count or a list")
@@ -393,7 +401,7 @@ def _parse_seeds(value) -> tuple[int, ...]:
     if isinstance(value, list) and value and all(
         isinstance(s, int) and not isinstance(s, bool) and s >= 0 for s in value
     ):
-        return tuple(value)
+        return _distinct(tuple(value), "seeds")
     raise ConfigError(
         "field 'seeds': expected an integer count or a list of non-negative integers"
     )
@@ -410,7 +418,7 @@ def _parse_int_list(value, name: str) -> tuple[int, ...]:
     if isinstance(value, list) and value and all(
         _is_integral(s) and s >= 1 for s in value
     ):
-        return tuple(int(s) for s in value)
+        return _distinct(tuple(int(s) for s in value), name)
     raise ConfigError(f"field {name!r}: expected a non-empty list of positive integers")
 
 
@@ -516,10 +524,12 @@ def config_from_dict(data: dict, source: str = "<config>") -> ExperimentConfig:
 def load_config(path: str) -> dict:
     """The JSON object in a config file; config_from_dict validates it."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"{path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(
             f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}"
@@ -598,9 +608,11 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> int:
     os.makedirs(cfg.out_dir, exist_ok=True)
     written: list[str] = []
     jobs = [(cfg, n, seed) for n in cfg.sizes for seed in cfg.seeds]
+    # the pool forks all its workers at once, so it never gets more than jobs
+    workers = min(threads, len(jobs))
     try:
-        if threads > 1:
-            with ProcessPoolExecutor(max_workers=threads) as pool:
+        if workers > 1:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
                 rows = list(pool.map(_worker, jobs))
         else:
             rows = [_worker(job) for job in jobs]
@@ -676,6 +688,12 @@ def main(argv: list[str] | None = None) -> int:
         cfg = config_from_dict(_apply_overrides(data, args), source=args.config or "<config>")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    # a path that names a file, or runs through one, is a bad field too
+    try:
+        os.makedirs(cfg.out_dir, exist_ok=True)
+    except OSError as exc:
+        print(f"config error: field 'out_dir': {exc}", file=sys.stderr)
         return 2
 
     code = run_experiment(cfg, threads=max(1, args.threads))

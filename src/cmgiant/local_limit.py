@@ -12,15 +12,14 @@ take that step with an int and sum the draw against the support in Python.
 The Monte Carlo estimators share one lockstep loop over all their trees:
 one draw of every root, then, per generation, one multinomial over the
 trees still alive, in increasing sample index; it yields each tree's total
-progeny and the size of one generation. Each law is turned into arrays, and
-for the single-tree samplers into Python lists, once per OffspringSpec.
+progeny and the size of one generation. Roots are drawn by the root law's
+Pmf.sample, the rule the graph's degrees are drawn by; the multinomial steps
+read the forward law's probability array and its support.
 """
 from __future__ import annotations
 
 import json
-from bisect import bisect_right
 from dataclasses import dataclass
-from functools import cached_property
 from operator import mul
 
 import numpy as np
@@ -68,30 +67,6 @@ class OffspringSpec:
             "zeta": self.zeta,
         }
         return json.dumps(payload, sort_keys=True)
-
-    @cached_property
-    def _arrays(self) -> tuple[np.ndarray, ...]:
-        """Root support and cdf, forward support, probabilities and cdf; built
-        once per spec. Each cdf is normalized as rng.choice normalizes it, for
-        _choice."""
-
-        def cdf(probabilities):
-            out = np.cumsum(probabilities)
-            out /= out[-1]
-            return out
-
-        root, child = self.root_pmf, self.shifted_pmf
-        return (
-            np.array(root.support), cdf(root.probabilities),
-            np.array(child.support), np.array(child.probabilities), cdf(child.probabilities),
-        )
-
-    @cached_property
-    def _lists(self) -> tuple[list, ...]:
-        """Root support and cdf, and forward support, of _arrays as Python
-        lists, for the samplers that draw one tree at a time."""
-        root_support, root_cdf, child_support = self._arrays[:3]
-        return root_support.tolist(), root_cdf.tolist(), child_support.tolist()
 
 
 def _generating_function(pmf: Pmf, x: float) -> float:
@@ -182,24 +157,6 @@ def _truncated_poly_power_sum(pmf: Pmf, h: np.ndarray, size: int) -> np.ndarray:
     return out
 
 
-def _choice(support: np.ndarray, cdf: np.ndarray, uniforms):
-    """The values rng.choice(support, p=...) draws from these rng.random uniforms."""
-    return support[cdf.searchsorted(uniforms, side="right")]
-
-
-def _draw_roots(spec: OffspringSpec, rng: np.random.Generator, size: int | None = None):
-    """Root child counts, consuming rng as rng.choice(support, size, p=probs) would.
-
-    With no size, one int: bisect_right on the cdf list is the rule of
-    searchsorted(side="right").
-    """
-    if size is None:
-        support, cdf, _ = spec._lists
-        return support[bisect_right(cdf, rng.random())]
-    support, cdf = spec._arrays[:2]
-    return _choice(support, cdf, rng.random(size))
-
-
 def _lockstep(spec: OffspringSpec, rng: np.random.Generator, samples: int, k: int, r: int):
     """Total progeny and generation-r size of `samples` trees grown in lockstep.
 
@@ -216,11 +173,11 @@ def _lockstep(spec: OffspringSpec, rng: np.random.Generator, samples: int, k: in
         raise ValueError(f"threshold k must be at least 1, got k={k}")
     if r < 0:
         raise ValueError(f"generation r must be nonnegative, got r={r}")
-    support, probs = spec._arrays[2:4]
+    support, probs, _ = spec.shifted_pmf.arrays
     total = np.ones(samples, dtype=np.int64)
     size_at_r = np.full(samples, int(r == 0), dtype=np.int64)  # generation 0 is the root
     live = np.arange(samples)
-    gen = _draw_roots(spec, rng, samples)
+    gen = spec.root_pmf.sample(samples, rng)
     generation = 1
     while True:
         total[live] += gen
@@ -310,11 +267,10 @@ def simulate_unimodular_bp(
     drawn but not recorded; the pinned stream keeps that draw.
     """
     multinomial = rng.multinomial
-    probs = spec._arrays[3]
-    support = spec._lists[2]
+    probs, support = spec.shifted_pmf.arrays[1], spec.shifted_pmf.support
     sizes = [1]
     total = 1
-    gen = _draw_roots(spec, rng)
+    gen = spec.root_pmf.sample(None, rng)
     truncated = False
     for _ in range(max_generation):
         sizes.append(gen)
@@ -344,8 +300,7 @@ def simulate_offspring_generations(
     if b0 < 1:
         raise ValueError("need a positive starting generation")
     multinomial = rng.multinomial
-    probs = spec._arrays[3]
-    support = spec._lists[2]
+    probs, support = spec.shifted_pmf.arrays[1], spec.shifted_pmf.support
     sizes = [b0]
     total = b0
     gen = b0

@@ -63,8 +63,8 @@ import numpy as np
 
 from .components import ComponentSummary
 from .graph_build import HalfEdgeGraph
-from .local_limit import OffspringSpec, _choice
-from .traversal import _WALK_BUDGET, _check_radius, _vertex_bits, _walk_counts, _walk_keys
+from .local_limit import OffspringSpec
+from .traversal import _check_radius, _tree_roots
 
 DEFAULT_BALL_CAP = 1000
 CLASS_CAP = 8
@@ -426,33 +426,13 @@ def _tally(counts: dict, ids: np.ndarray, codes: list) -> dict:
     return counts
 
 
-def _cyclic(g: HalfEdgeGraph, roots: np.ndarray, r: int, cost: np.ndarray) -> np.ndarray:
-    """Which roots have a cycle, self-loop or multi-edge in their radius-r ball.
-
-    In a tree ball the non-backtracking walks of length r or less reach
-    distinct vertices and the walks of length r + 1 leave the ball, so a
-    root is cyclic exactly when the walk keys of length r + 1 or less
-    (cost per root) repeat a (root, endpoint) pair whose shorter walk has
-    length r or less.
-    """
-    cyclic = np.zeros(roots.size, dtype=bool)
-    vb = _vertex_bits(g.n)
-    for lo, _, pair, length in _walk_keys(g, roots, r + 1, cost, _WALK_BUDGET):
-        twice = (pair[1:] == pair[:-1]) & (length[:-1] <= r)
-        cyclic[lo + (pair[1:][twice] >> vb)] = True
-    return cyclic
-
-
 def _ball_classes(g: HalfEdgeGraph, r: int, cap: int) -> tuple[np.ndarray, list[CanonicalBall]]:
     """Class id of every root's radius-r ball, and the code of each class."""
     _check_radius(r)
     n, offsets, mate = g.n, g.offsets, g.mate
     degree = np.diff(offsets)
     far = g.owner[mate]
-    # a tree ball has as many vertices as its root has walks of length r or less
-    walks, step = _walk_counts(g, r)
-    small = np.flatnonzero(walks <= cap)
-    tree = small[~_cyclic(g, small, r, walks[small] + step[small])]
+    tree = _tree_roots(g, r, cap)
 
     # a half-edge's class at level k names the tree hanging from its far end
     # when that end is at depth r - k: at depth r its stubs, inside the ball
@@ -489,12 +469,12 @@ def empirical_ball_distribution(
     """Distribution of ball codes over all roots of g.
 
     A root whose ball is a tree of at most cap vertices gets its code from
-    message classes: _cyclic finds the tree balls, and r - 1 rounds give
-    every half-edge the class of the tree hanging from its far end, each
-    round ranking the sorted classes of the far vertex's other half-edges.
-    Every other root, cyclic or with more than cap walks of length r or
-    less, goes through canonical_ball. The codes equal canonical_ball's for
-    every root.
+    message classes: traversal._tree_roots finds the tree balls, and r - 1
+    rounds give every half-edge the class of the tree hanging from its far
+    end, each round ranking the sorted classes of the far vertex's other
+    half-edges. Every other root, cyclic or with more than cap walks of
+    length r or less, goes through canonical_ball. The codes equal
+    canonical_ball's for every root.
     """
     ids, codes = _ball_classes(g, r, cap)
     return {code: c / g.n for code, c in _tally({}, ids, codes).items()}
@@ -554,12 +534,12 @@ def bp_ball_distribution(
     Trees grow in batches, level by level. A batch makes one rng.random call
     for its roots, then one per depth d = 1 .. r for the child counts of the
     depth-d nodes of its trees still within cap, in (tree, parent, child)
-    order; local_limit._choice turns each uniform into a support value. A
+    order; the law's Pmf.sample turns each uniform into a support value. A
     tree whose nodes within depth d pass cap is oversize and draws nothing
     more. The levels of a batch are then ranked from depth r up.
     """
     _check_radius(r)
-    root_support, root_cdf, child_support, _, child_cdf = spec._arrays
+    root, child = spec.root_pmf, spec.shifted_pmf
     batch = _batch_trees(spec, r, cap)
     counts: dict[CanonicalBall, int] = {}
     for done in range(0, samples, batch):
@@ -567,7 +547,7 @@ def bp_ball_distribution(
         # levels[d] holds the child counts of the depth-d nodes; the last
         # level of an oversize tree counts no children, so each level's
         # counts add up to the next level's length
-        levels = [_choice(root_support, root_cdf, rng.random(size))]
+        levels = [root.sample(size, rng)]
         over = np.zeros(size, dtype=bool)
         nodes = np.ones(size, dtype=np.int64)  # within depth d, per tree
         width = np.ones(size, dtype=np.int64)  # depth-d nodes, per tree
@@ -579,7 +559,7 @@ def bp_ball_distribution(
             over = nodes > cap
             levels[-1][np.repeat(over, width)] = 0
             width = np.where(over, 0, kids)
-            levels.append(_choice(child_support, child_cdf, rng.random(int(width.sum()))))
+            levels.append(child.sample(int(width.sum()), rng))
         rows: list[_Rows] = []
         classes = levels.pop()
         while levels:

@@ -9,8 +9,9 @@ into one int64 each: root index, then endpoint, then length, in bit fields
 that shifts and masks read back. After its first step a walk takes deg - 1
 slots at the vertex it reached and steps over the half-edge it arrived by.
 boundary_counts reads distances off those keys, listing only the first r
-walks of length r from each root since its counts saturate at r, and the
-graph-side ball census (neighborhoods) reads cycles off them.
+walks of length r from each root since its counts saturate at r, and
+_tree_roots reads cycles off them for the graph-side ball census
+(neighborhoods).
 
 pair_distance is a bidirectional breadth-first search over the flat Python
 adjacency lists cached on the graph, with a set of visited vertices per side;
@@ -127,6 +128,25 @@ def _walk_keys(
         keys = np.sort(np.concatenate(keys))
         yield lo, hi, keys >> lb, keys & ((1 << lb) - 1)
         lo = hi
+
+
+def _tree_roots(g: HalfEdgeGraph, r: int, cap: int) -> np.ndarray:
+    """The roots, in increasing order, whose radius-r ball is a tree of at
+    most cap vertices: as many as the root's walks of length r or less.
+
+    In a tree ball those walks reach distinct vertices and the walks of
+    length r + 1 leave the ball, so a root is cyclic exactly when its walk
+    keys of length r + 1 or less repeat a (root, endpoint) pair whose
+    shorter walk has length r or less.
+    """
+    walks, step = _walk_counts(g, r)
+    small = np.flatnonzero(walks <= cap)
+    cyclic = np.zeros(small.size, dtype=bool)
+    vb = _vertex_bits(g.n)
+    for lo, _, pair, length in _walk_keys(g, small, r + 1, walks[small] + step[small], _WALK_BUDGET):
+        twice = (pair[1:] == pair[:-1]) & (length[:-1] <= r)
+        cyclic[lo + (pair[1:][twice] >> vb)] = True
+    return small[~cyclic]
 
 
 def boundary_counts(g: HalfEdgeGraph, r: int) -> np.ndarray:

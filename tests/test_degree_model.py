@@ -44,6 +44,25 @@ def test_pmf_dict_roundtrip():
     assert p.as_dict() == {1: 0.75, 3: 0.25}
 
 
+@given(
+    pmf_dicts(),
+    st.one_of(st.sampled_from([None, 0, 1]), st.integers(2, 2000)),
+    st.integers(0, 2**32 - 1),
+)
+def test_pmf_sample_matches_rng_choice(masses, size, seed):
+    # Pmf.sample is the one draw rule of every degree law: it must draw what
+    # rng.choice draws, value for value, and leave the generator where it would
+    pmf = Pmf.from_dict(masses)
+    mine, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    drawn = pmf.sample(size, mine)
+    expected = ref.choice(np.array(pmf.support), size, p=np.array(pmf.probabilities))
+    if size is None:
+        assert type(drawn) is int and drawn == expected
+    else:
+        assert drawn.dtype == np.int64 and np.array_equal(drawn, expected)
+    assert mine.random() == ref.random()
+
+
 def test_degree_sequence_validation():
     seq = DegreeSequence(np.array([1, 1, 2, 2]))
     assert seq.n == 4

@@ -633,6 +633,12 @@ def test_main_bad_config_exits_two(tmp_path, capsys):
         ("seeds", [-1, 2]),
         ("--seeds", "-1,2"),
         ("pmf", {"1": float("nan")}),
+        ("n", [300, 300]),
+        ("seeds", [1, 1]),
+        ("k", [5, 5]),
+        ("r", [2, 2.0]),
+        ("--n", "300,300"),
+        ("--seeds", "1,1"),
     ],
 )
 def test_main_malformed_field_exits_two_naming_it(tmp_path, capsys, field, value):
@@ -655,6 +661,56 @@ def test_main_bad_out_dir_exits_two_before_any_output(tmp_path, monkeypatch, cap
     assert main(["giant", "--config", "cfg.json"]) == 2
     assert "'out_dir'" in capsys.readouterr().err
     assert os.listdir(tmp_path) == ["cfg.json"]
+
+
+def test_main_config_not_utf8_exits_two_naming_the_file(tmp_path, capsys):
+    config_path = tmp_path / "cfg.json"
+    config_path.write_bytes(b"\xff\xfe{}")
+    out = tmp_path / "out"
+    assert main(["giant", "--config", str(config_path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and str(config_path) in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("out", ["taken", os.path.join("taken", "sub")])
+def test_main_out_naming_a_file_exits_two_and_writes_nothing(tmp_path, capsys, out):
+    taken = tmp_path / "taken"
+    taken.write_text("keep\n")
+    assert main(["giant", "--n", "300", "--seeds", "1", "--out", str(tmp_path / out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "'out_dir'" in err
+    assert taken.read_text() == "keep\n"
+    assert os.listdir(tmp_path) == ["taken"]
+
+
+def test_pool_never_has_more_workers_than_jobs(tmp_path, monkeypatch):
+    # a stand-in pool records its size and maps in-process: no process starts
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(expcli, "ProcessPoolExecutor", InlinePool)
+    two, one = str(tmp_path / "two"), str(tmp_path / "one")
+    assert main(["giant", "--n", "300", "--seeds", "0,1", "--out", two, "--threads", "10000"]) == 0
+    assert sizes == [2]
+    # one job (seed 0) runs serially, with no pool at all
+    assert main(["giant", "--n", "300", "--seeds", "1", "--out", one, "--threads", "10000"]) == 0
+    assert sizes == [2]
+    assert read(os.path.join(two, "results.jsonl")).splitlines()[:1] == read(
+        os.path.join(one, "results.jsonl")
+    ).splitlines()
 
 
 @pytest.mark.parametrize(

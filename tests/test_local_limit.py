@@ -18,7 +18,6 @@ from cmgiant import (
 )
 from cmgiant.local_limit import (
     EXACT_PROGENY_MAX_K,
-    _draw_roots,
     simulate_offspring_generations,
 )
 from oracles import offspring_generations_loop, unimodular_bp_loop
@@ -307,12 +306,14 @@ def test_single_tree_samplers_match_the_reference_loops(masses, generations, cap
 
 @pytest.mark.parametrize("seed", range(5))
 def test_root_draws_match_rng_choice(seed):
+    # the spec's two laws draw as rng.choice does; the forward law's support
+    # starts at 0, a value no degree law takes
     spec = spec_of(PINNED_LAW)
-    support = np.array(spec.root_pmf.support)
-    probs = np.array(spec.root_pmf.probabilities)
     mine, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-    assert _draw_roots(spec, mine) == ref.choice(support, p=probs)
-    assert np.array_equal(_draw_roots(spec, mine, 1000), ref.choice(support, size=1000, p=probs))
+    for law in (spec.root_pmf, spec.shifted_pmf):
+        support, probs = np.array(law.support), np.array(law.probabilities)
+        assert law.sample(None, mine) == ref.choice(support, p=probs)
+        assert np.array_equal(law.sample(1000, mine), ref.choice(support, size=1000, p=probs))
     assert mine.random() == ref.random()
 
 

@@ -568,7 +568,7 @@ def test_census_matches_per_root_oracle(degrees, r, cap, budget, seed):
     # walk budget splits the tree test into many chunks of roots
     g = pair_half_edges(DegreeSequence(np.array(degrees)), np.random.default_rng(seed))
     cs = component_decomposition(g)
-    with mock.patch.object(neighborhoods, "_WALK_BUDGET", budget):
+    with mock.patch.object(traversal, "_WALK_BUDGET", budget):
         emp = empirical_ball_distribution(g, r, cap=cap)
         split = restricted_ball_distribution(g, r, cs, cap=cap)
     expected = ball_census(g, r, cap)
