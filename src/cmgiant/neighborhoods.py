@@ -31,8 +31,12 @@ any width, always get an exact code.
 The two censuses rank whole levels of trees at once with AHU's level step,
 on arrays, and build the AHU string once per distinct class. Both use one
 kernel, _Rows: it packs each node's sorted row of child classes into an
-int64 key, so one np.unique ranks a level whose rows fit in one key, and
-the columns of longer rows are folded into only the rows that reach them:
+int64 key, so one _rank call ranks a level whose rows fit in one key, and
+the columns of longer rows are folded into only the rows that reach them.
+Keys that span no more than their count (class ids, and the keys of levels
+of few short rows over few classes, such as every level of the {1, 3} law
+at r <= 2) are ranked in one pass over a presence table; only wider keys
+are sorted. The two sides feed the kernel as follows:
 
 - Graph side. A tree test takes the sorted (root, endpoint, length) keys
   of every non-backtracking walk of length r + 1 or less from every root,
@@ -72,6 +76,7 @@ _OVERSIZE = b"!oversize"
 # The censuses work in pieces of a few 1e4 array entries: the allocator keeps
 # the heap of the largest piece, which is what peak RSS then measures.
 _BATCH_NODES = 1 << 15  # tree nodes a branching-process batch holds, about
+_RANK_SLACK = 64  # _rank's presence table may exceed the key count by this
 
 
 @dataclass(frozen=True)
@@ -310,18 +315,18 @@ class _Rows:
     left out (a skip of length[i] or more leaves nothing out). Ranking is
     AHU's level step on packed keys: a row's entries become the digits
     entry + 1 in radix vals.max() + 2, with 0 past the row's end, so the
-    trailing zeros encode the row length. Each np.unique folds as many
+    trailing zeros encode the row length. Each _rank call folds as many
     columns into (class so far, digits) keys as fit below 2**62, and at
     least one: about 62 / log2(radix) columns in the first fold, which
     covers every row. When the longest row needs more folds, the rows go in
     order of decreasing length, each later fold covers only the rows longer
     than its first column and gives them classes above every earlier one,
-    and one last np.unique makes the classes dense. A level thus costs one
-    sort per fold, each over only the rows that reach the fold, and gathers
-    of about the first fold's width per row plus the entries past it, so a
-    hub costs about its own entries, not its width times every row. Every
-    census level of local_conv takes one fold. Classes are dense and carry
-    no order.
+    and one last _rank call makes the classes dense. A level thus costs one
+    ranking per fold, each over only the rows that reach the fold, and
+    gathers of about the first fold's width per row plus the entries past
+    it, so a hub costs about its own entries, not its width times every
+    row. Every census level of local_conv takes one fold. Classes are dense
+    and carry no order.
     """
 
     def __init__(self, vals: np.ndarray, base, length, skip=None) -> None:
@@ -348,11 +353,11 @@ class _Rows:
                 at = np.where(live, base[:k] + j + (skip[:k] <= j), 0)
                 key = key * radix + np.where(live, vals[at] + 1, 0)
                 j += 1
-            _, first, fold = np.unique(key, return_index=True, return_inverse=True)
+            fold, first = _rank(key)
             cls[:k] = bound + fold
             bound += first.size
         if bound > first.size:
-            _, first, cls = np.unique(cls, return_index=True, return_inverse=True)
+            cls, first = _rank(cls)
         self.classes, self._rep = cls, first
         if order is not None:
             self.classes = np.empty_like(cls)
@@ -364,6 +369,27 @@ class _Rows:
         i = self._rep[c]
         base, skip = int(self.base[i]), int(self.skip[i])
         return [int(self.vals[base + j + (j >= skip)]) for j in range(int(self.length[i]))]
+
+
+def _rank(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The class of each non-negative key, classes numbered in key order as
+    np.unique's inverse numbers them, and one index holding each class.
+
+    Keys below key.size + _RANK_SLACK are ranked with a presence table and
+    its running sum: one pass, no sort, and a table at most _RANK_SLACK
+    entries longer than the keys. Wider keys are sorted by np.unique.
+    """
+    top = int(key.max()) if key.size else -1
+    if 0 <= top < key.size + _RANK_SLACK:
+        seen = np.zeros(top + 1, dtype=bool)
+        seen[key] = True
+        ids = np.cumsum(seen) - 1
+        cls = ids[key]
+        first = np.empty(int(ids[-1]) + 1, dtype=np.int64)
+        first[cls] = np.arange(key.size)
+        return cls, first
+    _, first, cls = np.unique(key, return_index=True, return_inverse=True)
+    return cls, first
 
 
 def _digits(bound: int, radix: int, most: int) -> int:
@@ -410,19 +436,21 @@ def _encode(levels: list[_Rows], top: np.ndarray) -> tuple[np.ndarray, list[Cano
     leaf's string is its stub count, every other node has no stubs, and each
     string is built once per class, from one row of the class.
     """
-    values, ids = np.unique(top, return_inverse=True)
+    ids, first = _rank(top)
     memo: list[dict[int, bytes]] = [{} for _ in levels]
     top_level = len(levels) - 1
-    codes = [b"T" + _class_string(levels, memo, top_level, int(c)) for c in values]
+    codes = [b"T" + _class_string(levels, memo, top_level, c) for c in top[first].tolist()]
     return ids, [CanonicalBall(code) for code in codes]
 
 
 def _tally(counts: dict, ids: np.ndarray, codes: list) -> dict:
     """Add each class's count to counts under its code, in order of first occurrence."""
-    classes, first, sizes = np.unique(ids, return_index=True, return_counts=True)
-    for k in np.argsort(first).tolist():
-        code = codes[classes[k]]
-        counts[code] = counts.get(code, 0) + int(sizes[k])
+    sizes = np.bincount(ids, minlength=len(codes))
+    first = np.full(len(codes), ids.size, dtype=np.int64)
+    np.minimum.at(first, ids, np.arange(ids.size))
+    present = np.flatnonzero(sizes)
+    for k in present[np.argsort(first[present])].tolist():
+        counts[codes[k]] = counts.get(codes[k], 0) + int(sizes[k])
     return counts
 
 

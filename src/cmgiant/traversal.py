@@ -185,19 +185,27 @@ def boundary_counts(g: HalfEdgeGraph, r: int) -> np.ndarray:
 
 def _sphere_sizes(g: HalfEdgeGraph, roots: np.ndarray, r: int) -> list[int]:
     """|∂B_r(v)| for each v in roots, by a breadth-first search from v that
-    grows each level with a few array operations."""
+    grows each level with a few array operations.
+
+    A level's new vertices are deduplicated without a sort: each writes its
+    position into slot, and a vertex keeps the one entry whose write held.
+    """
     if not roots.size:
         return []
     offsets, mate, owner = g.offsets, g.mate, g.owner
     degree = np.diff(offsets)
     mark = np.full(g.n, -1, dtype=np.int64)
+    slot = np.empty(g.n, dtype=np.int64)
     sizes = []
     for v in roots:
         mark[v] = v
         frontier = np.array([v])
         for _ in range(r):
             w = owner[mate[_ragged(offsets[frontier], degree[frontier])[1]]]
-            frontier = np.unique(w[mark[w] != v])
+            w = w[mark[w] != v]
+            at = np.arange(w.size)
+            slot[w] = at
+            frontier = w[slot[w] == at]
             mark[frontier] = v
         sizes.append(frontier.size)
     return sizes

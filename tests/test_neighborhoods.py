@@ -383,6 +383,29 @@ def test_rows_fold_as_many_digits_as_fit(bound, radix, most):
     assert m == most or bound * radix ** (m + 1) >= 2**62
 
 
+@given(
+    st.sampled_from([0, 1, 5, 100, 2**40, 2**62 - 1]).flatmap(
+        lambda top: st.lists(st.integers(0, top), max_size=60).map(lambda k: np.array(k, dtype=np.int64))
+    )
+)
+@example(np.array([], dtype=np.int64))  # a batch whose every tree is oversize
+@example(np.array([0]))
+@example(np.array([2**62 - 1]))
+@example(np.array([neighborhoods._RANK_SLACK] * 2))  # the widest table of two keys
+@example(np.array([neighborhoods._RANK_SLACK + 2] * 2))  # one past it: sorted
+def test_rank_rows_like_np_unique(key):
+    # the presence table ranks keys below key.size + _RANK_SLACK, np.unique
+    # the wider ones; both number classes as np.unique's inverse does
+    table = key.size > 0 and key.max() < key.size + neighborhoods._RANK_SLACK
+    with mock.patch.object(np, "unique", wraps=np.unique) as unique:
+        cls, first = neighborhoods._rank(key)
+    assert unique.called != table
+    values, inverse = np.unique(key, return_inverse=True)
+    assert cls.dtype == first.dtype == np.int64
+    assert np.array_equal(cls, inverse) and first.size == values.size
+    assert np.array_equal(key[first], values)
+
+
 def test_extract_ball_radius_zero():
     g = cycle_graph(5)
     b, overflow = extract_ball(g, 2, 0)
