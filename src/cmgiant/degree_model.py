@@ -18,6 +18,9 @@ from typing import Mapping
 import numpy as np
 
 PMF_SUM_TOL = 1e-12
+# supports up to this size draw by comparisons, faster than searchsorted on
+# unsorted uniforms (1e4-1e5 draws on a 2-vCPU x86-64 VM)
+_SCAN_MAX = 32
 
 
 @dataclass(frozen=True)
@@ -93,11 +96,21 @@ class Pmf:
     def sample(self, size: int | None, rng: np.random.Generator) -> int | np.ndarray:
         """size values (one int for size None) from one rng.random(size) call,
         as rng.choice(support, size, p=probabilities) draws them: each uniform
-        gives the first value whose cdf exceeds it (bisect_right for one)."""
+        gives the first value whose cdf exceeds it, found by counting the cdf
+        entries at or below it (bisect_right for one, one comparison per
+        entry on supports of at most _SCAN_MAX values, searchsorted above)."""
         if size is None:
             return self.support[bisect_right(self._cdf_list, rng.random())]
         support, _, cdf = self.arrays
-        return support[cdf.searchsorted(rng.random(size), side="right")]
+        u = rng.random(size)
+        if support.size > _SCAN_MAX:
+            at = cdf.searchsorted(u, side="right")
+        else:
+            at = np.zeros(size, dtype=np.intp)
+            for c in self._cdf_list[:-1]:  # u < 1 = cdf[-1]
+                at += u >= c
+        del u  # freed before the gather, so the peak stays that of one index array
+        return support[at]
 
 
 @dataclass(frozen=True)

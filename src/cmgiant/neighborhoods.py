@@ -30,13 +30,16 @@ any width, always get an exact code.
 
 The two censuses rank whole levels of trees at once with AHU's level step,
 on arrays, and build the AHU string once per distinct class. Both use one
-kernel, _Rows: it packs each node's sorted row of child classes into an
-int64 key, so one _rank call ranks a level whose rows fit in one key, and
-the columns of longer rows are folded into only the rows that reach them.
-Keys that span no more than their count (class ids, and the keys of levels
-of few short rows over few classes, such as every level of the {1, 3} law
-at r <= 2) are ranked in one pass over a presence table; only wider keys
-are sorted. The two sides feed the kernel as follows:
+entry, _rank_level, which names each node's multiset of child classes by a
+power sum: with radix the longest row + 1 and top the number of distinct
+classes, a multiset of classes is a base-radix numeral, exact when
+radix**top < 2**62. One running sum over the unsorted rows and one _rank
+call then rank a level, with no sort: _rank uses a presence table when the
+sums span no more than their count (every level of the {1, 3} law at
+r <= 2) and np.unique otherwise. Levels whose sums would pass 62 bits
+(hubs, dense laws at r >= 2) sort each row and fold it with _Rows, which
+packs a row's sorted classes into int64 keys, a key's worth of columns at a
+time. The two sides feed the kernel as follows:
 
 - Graph side. A tree test takes the sorted (root, endpoint, length) keys
   of every non-backtracking walk of length r + 1 or less from every root,
@@ -44,10 +47,11 @@ are sorted. The two sides feed the kernel as follows:
   r steps or less marks a cycle, self-loop or multi-edge in the ball. A
   tree root's class then comes from r - 1 rounds of per-half-edge
   messages: a half-edge's class names the tree hanging from its far end,
-  and each round ranks the sorted classes of the far vertex's other
-  half-edges. Only cyclic roots, and roots with more than cap walks of
-  length r or less (a tree ball has exactly that many vertices), fall back
-  to canonical_ball, one root at a time.
+  and each round ranks the classes of the far vertex's other half-edges,
+  whose power sum is the far vertex's sum less the power of the half-edge
+  the message arrived by. Only cyclic roots, and roots with more than cap
+  walks of length r or less (a tree ball has exactly that many vertices),
+  fall back to canonical_ball, one root at a time.
 - Branching-process side. Trees grow in batches, level by level: one
   generator call draws the root child counts of a batch, and one per depth
   the child counts of the nodes at that depth, for the trees still within
@@ -311,32 +315,36 @@ class _Rows:
     """Ragged rows of child classes, ranked so that equal rows share a class.
 
     Row i holds the length[i] entries vals[base[i] + j + (j >= skip[i])]:
-    a sorted run that starts at base[i], with the entry at offset skip[i]
-    left out (a skip of length[i] or more leaves nothing out). Ranking is
-    AHU's level step on packed keys: a row's entries become the digits
-    entry + 1 in radix vals.max() + 2, with 0 past the row's end, so the
-    trailing zeros encode the row length. Each _rank call folds as many
-    columns into (class so far, digits) keys as fit below 2**62, and at
-    least one: about 62 / log2(radix) columns in the first fold, which
-    covers every row. When the longest row needs more folds, the rows go in
-    order of decreasing length, each later fold covers only the rows longer
-    than its first column and gives them classes above every earlier one,
-    and one last _rank call makes the classes dense. A level thus costs one
-    ranking per fold, each over only the rows that reach the fold, and
-    gathers of about the first fold's width per row plus the entries past
-    it, so a hub costs about its own entries, not its width times every
-    row. Every census level of local_conv takes one fold. Classes are dense
-    and carry no order.
+    a run that starts at base[i], with the entry at offset skip[i] left out
+    (a skip of length[i] or more leaves nothing out). ranked, when given,
+    holds the classes of rows ranked elsewhere and one row of each class;
+    otherwise the runs must be sorted, and ranking is AHU's level step on
+    packed keys: a row's entries become the digits entry + 1 in radix
+    vals.max() + 2, with 0 past the row's end, so the trailing zeros encode
+    the row length. Each _rank call folds as many columns into (class so
+    far, digits) keys as fit below 2**62, and at least one: about
+    62 / log2(radix) columns in the first fold, which covers every row.
+    When the longest row needs more folds, the rows go in order of
+    decreasing length, each later fold covers only the rows longer than its
+    first column and gives them classes above every earlier one, and one
+    last _rank call makes the classes dense. A level thus costs one ranking
+    per fold, each over only the rows that reach the fold, and gathers of
+    about the first fold's width per row plus the entries past it, so a hub
+    costs about its own entries, not its width times every row. Classes are
+    dense and carry no order.
     """
 
-    def __init__(self, vals: np.ndarray, base, length, skip=None) -> None:
+    def __init__(self, vals: np.ndarray, base, length, skip=None, ranked=None) -> None:
         self.vals = vals
         self.base = np.asarray(base, dtype=np.int64)
         self.length = np.asarray(length, dtype=np.int64)
         self.skip = self.length if skip is None else skip
-        width = int(self.length.max()) if self.length.size else 0
+        self.classes, self._rep = self._fold() if ranked is None else ranked
+
+    def _fold(self) -> tuple[np.ndarray, np.ndarray]:
+        vals, base, length, skip = self.vals, self.base, self.length, self.skip
+        width = int(length.max()) if length.size else 0
         radix = int(vals.max()) + 2 if vals.size else 2
-        base, length, skip = self.base, self.length, self.skip
         order = None
         if _digits(1, radix, width) < width:
             # a later fold reaches the rows longer than its first column, a prefix in this order
@@ -358,11 +366,11 @@ class _Rows:
             bound += first.size
         if bound > first.size:
             cls, first = _rank(cls)
-        self.classes, self._rep = cls, first
-        if order is not None:
-            self.classes = np.empty_like(cls)
-            self.classes[order] = cls
-            self._rep = order[first]
+        if order is None:
+            return cls, first
+        classes = np.empty_like(cls)
+        classes[order] = cls
+        return classes, order[first]
 
     def children(self, c: int) -> list[int]:
         """The child classes in a row of class c."""
@@ -411,10 +419,44 @@ def _sorted_runs(values: np.ndarray, lengths: np.ndarray):
     return values[perm], where
 
 
-def _child_rows(classes: np.ndarray, counts: np.ndarray) -> _Rows:
-    """Rows of consecutive children: row i holds the next counts[i] classes."""
-    vals, _ = _sorted_runs(classes, counts)
-    return _Rows(vals, np.cumsum(counts) - counts, counts)
+def _rank_level(vals: np.ndarray, counts: np.ndarray, rows=None, skip=None) -> _Rows:
+    """Rank a level's rows so that equal multisets of child classes share a class.
+
+    vals holds runs of counts[k] classes, in any order; row i is run rows[i]
+    (run i when rows is None), less entry skip[i] when skips are given. With
+    radix the longest run + 1 and digit[v] the rank of class v among the top
+    distinct classes, the power sum of radix**digit over a row names its
+    multiset exactly when radix**top < 2**62. A uint64 running sum over the
+    runs gives every sum (a wrap-around cancels in the differences), and one
+    _rank call ranks them. Wider levels sort their runs and fold them with
+    _Rows.
+    """
+    ends = np.cumsum(counts)
+    starts = ends - counts
+    radix = int(counts.max()) + 1 if counts.size else 1
+    seen = np.zeros(int(vals.max()) + 1 if vals.size else 0, dtype=bool)
+    seen[vals] = True
+    top = int(np.count_nonzero(seen))
+    base = starts if rows is None else starts[rows]
+    length = counts if rows is None else counts[rows]
+    if skip is not None:
+        length = length - 1
+    if radix**top < 1 << 62:
+        power = np.zeros(seen.size, dtype=np.uint64)
+        power[seen] = np.uint64(radix) ** np.arange(top, dtype=np.uint64)
+        power = power[vals]
+        total = np.zeros(vals.size + 1, dtype=np.uint64)
+        np.cumsum(power, out=total[1:])
+        key = total[ends]
+        key[1:] -= key[:-1]  # each run starts where the one before ends
+        if rows is not None:
+            key = key[rows]
+        if skip is not None:
+            key -= power[skip]
+        ranked = _rank(key.view(np.int64))
+        return _Rows(vals, base, length, None if skip is None else skip - base, ranked)
+    vals, where = _sorted_runs(vals, counts)
+    return _Rows(vals, base, length, None if skip is None else where[skip] - base)
 
 
 def _class_string(levels: list[_Rows], memo: list[dict], k: int, c: int) -> bytes:
@@ -457,8 +499,8 @@ def _tally(counts: dict, ids: np.ndarray, codes: list) -> dict:
 def _ball_classes(g: HalfEdgeGraph, r: int, cap: int) -> tuple[np.ndarray, list[CanonicalBall]]:
     """Class id of every root's radius-r ball, and the code of each class."""
     _check_radius(r)
-    n, offsets, mate = g.n, g.offsets, g.mate
-    degree = np.diff(offsets)
+    n, mate = g.n, g.mate
+    degree = np.diff(g.offsets)
     far = g.owner[mate]
     tree = _tree_roots(g, r, cap)
 
@@ -468,12 +510,10 @@ def _ball_classes(g: HalfEdgeGraph, r: int, cap: int) -> tuple[np.ndarray, list[
     levels: list[_Rows] = []
     classes = degree[far] - 1
     for _ in range(r - 1):
-        vals, where = _sorted_runs(classes, degree)
-        levels.append(_Rows(vals, offsets[far], degree[far] - 1, where[mate] - offsets[far]))
+        levels.append(_rank_level(classes, degree, far, mate))
         classes = levels[-1].classes
     if r:
-        vals, _ = _sorted_runs(classes, degree)
-        levels.append(_Rows(vals, offsets[tree], degree[tree]))
+        levels.append(_rank_level(classes, degree, tree))
         top = levels[-1].classes
     else:
         top = degree[tree]
@@ -499,9 +539,9 @@ def empirical_ball_distribution(
     A root whose ball is a tree of at most cap vertices gets its code from
     message classes: traversal._tree_roots finds the tree balls, and r - 1
     rounds give every half-edge the class of the tree hanging from its far
-    end, each round ranking the sorted classes of the far vertex's other
-    half-edges. Every other root, cyclic or with more than cap walks of
-    length r or less, goes through canonical_ball. The codes equal
+    end, each round ranking the multiset of classes of the far vertex's
+    other half-edges. Every other root, cyclic or with more than cap walks
+    of length r or less, goes through canonical_ball. The codes equal
     canonical_ball's for every root.
     """
     ids, codes = _ball_classes(g, r, cap)
@@ -591,7 +631,7 @@ def bp_ball_distribution(
         rows: list[_Rows] = []
         classes = levels.pop()
         while levels:
-            rows.append(_child_rows(classes, levels.pop()))
+            rows.append(_rank_level(classes, levels.pop()))
             classes = rows[-1].classes
         fit = ~over
         fit_ids, codes = _encode(rows, classes[fit])

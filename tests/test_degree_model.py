@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from cmgiant import (
@@ -60,6 +60,28 @@ def test_pmf_sample_matches_rng_choice(masses, size, seed):
         assert type(drawn) is int and drawn == expected
     else:
         assert drawn.dtype == np.int64 and np.array_equal(drawn, expected)
+    assert mine.random() == ref.random()
+
+
+@given(
+    st.integers(1, 200).flatmap(
+        lambda k: st.lists(st.sampled_from([0.0, 1e-9, 0.3, 1.0, 7.0]), min_size=k, max_size=k)
+    ).filter(any),
+    st.sampled_from([1, 2, 50, 3000]),
+    st.integers(0, 2**32 - 1),
+)
+@example([0.0] * 31 + [1.0, 1.0], 3000, 0)  # 33 values: searchsorted
+@example([0.0] * 30 + [1.0, 1.0], 3000, 0)  # 32 values, zero mass up front: comparisons
+def test_pmf_sample_matches_rng_choice_on_wide_supports(weights, size, seed):
+    # supports of up to _SCAN_MAX values draw by comparisons, wider ones by
+    # searchsorted; zero-mass points repeat a cdf entry, which neither rule
+    # may ever draw
+    total = sum(weights)
+    pmf = Pmf(tuple(range(0, 2 * len(weights), 2)), tuple(w / total for w in weights))
+    mine, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    drawn = pmf.sample(size, mine)
+    expected = ref.choice(np.array(pmf.support), size, p=np.array(pmf.probabilities))
+    assert drawn.dtype == np.int64 and np.array_equal(drawn, expected)
     assert mine.random() == ref.random()
 
 

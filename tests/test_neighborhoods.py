@@ -372,6 +372,65 @@ def test_rows_fold_long_rows_alone(monkeypatch):
     assert ranked.children(int(ranked.classes[5000])) == list(range(1000, 2000))
 
 
+@st.composite
+def level_runs(draw):
+    """Unsorted runs of classes and rows over them, as _rank_level takes
+    them: each row is a run, less one of its entries when skipping."""
+    pool = draw(st.sampled_from([[0], [0, 1, 2], [0, 3, 9], list(range(70))]))
+    runs = draw(st.lists(st.lists(st.sampled_from(pool), max_size=6), min_size=1, max_size=10))
+    skipping = draw(st.booleans())
+    picks = [i for i, run in enumerate(runs) if run or not skipping]
+    rows = draw(st.lists(st.sampled_from(picks), max_size=30)) if picks else []
+    skip = [draw(st.integers(0, len(runs[i]) - 1)) for i in rows] if skipping else None
+    return runs, rows, skip
+
+
+def wide_runs(radix: int, top: int) -> tuple:
+    # top one-class runs and one run of radix - 1 zeros: radix**top keys
+    return [[c] for c in range(top)] + [[0] * (radix - 1)], None, None
+
+
+@given(level_runs())
+@example(wide_runs(2, 61))  # 2**61: power sums
+@example(wide_runs(3, 39))  # 3**39, just below 2**62: power sums
+@example(wide_runs(2, 62))  # 2**62: sorted runs and folds
+@example(wide_runs(4, 31))  # 4**31 = 2**62: sorted runs and folds
+@example(([[2, 0, 2, 0], [0, 2, 2, 0], [2]], [0, 1, 1, 0, 2], [0, 1, 2, 3, 0]))
+def test_level_rows_rank_like_the_column_by_column_reference(level):
+    # the power sums of unsorted runs, or the sorted runs' folds when the
+    # sums would reach 2**62, give the partition of the reference ranking,
+    # and a class's children are the multiset of each of its rows
+    runs, rows, skip = level
+    counts = np.array([len(run) for run in runs], dtype=np.int64)
+    vals = np.array([c for run in runs for c in run], dtype=np.int64)
+    starts = np.cumsum(counts) - counts
+    picked = list(range(len(runs))) if rows is None else rows
+    at = None if skip is None else np.array([starts[i] + s for i, s in zip(picked, skip)], dtype=np.int64)
+    top = len(set(vals.tolist()))
+    with mock.patch.object(neighborhoods, "_sorted_runs", wraps=neighborhoods._sorted_runs) as fold:
+        level_rows = neighborhoods._rank_level(
+            vals, counts, None if rows is None else np.array(rows, dtype=np.int64), at
+        )
+    assert fold.called == ((int(counts.max()) + 1) ** top >= 2**62)
+    expected_rows = [sorted(runs[i]) for i in picked]
+    if skip is not None:
+        for row, i, s in zip(expected_rows, picked, skip):
+            row.remove(runs[i][s])
+    # the reference folds sorted runs: every run sorted, each skip at its value
+    sorted_vals = np.array([c for run in runs for c in sorted(run)], dtype=np.int64)
+    offsets = None if skip is None else [sorted(runs[i]).index(runs[i][s]) for i, s in zip(picked, skip)]
+    expected = rows_reference(
+        sorted_vals,
+        starts[picked],
+        [len(row) for row in expected_rows],
+        None if skip is None else np.array(offsets, dtype=np.int64),
+    )
+    classes = level_rows.classes.tolist()
+    assert len(set(zip(classes, expected.tolist()))) == len(set(classes)) == len(set(expected.tolist()))
+    for c, row in zip(classes, expected_rows):
+        assert sorted(level_rows.children(c)) == row
+
+
 @given(st.integers(1, 2**22), st.integers(2, 2**41), st.integers(1, 40))
 @example(2**22, 2**41, 3)  # not even one digit fits
 def test_rows_fold_as_many_digits_as_fit(bound, radix, most):
@@ -606,6 +665,21 @@ def test_census_matches_per_root_oracle_on_a_sparse_graph(mixture_pmf, r):
     rng = np.random.default_rng(7)
     g = pair_half_edges(sample_iid_degrees(mixture_pmf, 3000, rng), rng)
     assert empirical_ball_distribution(g, r) == ball_census(g, r, DEFAULT_BALL_CAP)
+
+
+def test_census_with_a_hub_folds_wide_rows_like_the_oracle():
+    # a degree-40 hub among {1, 3} vertices: at r=3 the root level's rows
+    # hold 35 distinct half-edge classes, too many for power sums in radix
+    # 41, so that level sorts and folds its rows
+    rng = np.random.default_rng(1)
+    degrees = np.concatenate(([40], rng.choice([1, 3], 300)))  # an even sum
+    g = pair_half_edges(DegreeSequence(degrees), rng)
+    with mock.patch.object(neighborhoods, "_sorted_runs", wraps=neighborhoods._sorted_runs) as fold:
+        emp = empirical_ball_distribution(g, 3)
+    assert fold.called
+    expected = ball_census(g, 3, DEFAULT_BALL_CAP)
+    assert emp == expected
+    assert list(emp) == list(expected)
 
 
 def test_census_routes_every_kind_of_root():
