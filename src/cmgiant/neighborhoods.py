@@ -441,7 +441,7 @@ def _rank_level(vals: np.ndarray, counts: np.ndarray, rows=None, skip=None) -> _
     length = counts if rows is None else counts[rows]
     if skip is not None:
         length = length - 1
-    if radix**top < 1 << 62:
+    if top < 62 and radix**top < 1 << 62:  # radix >= 2 when top > 0: no huge power
         power = np.zeros(seen.size, dtype=np.uint64)
         power[seen] = np.uint64(radix) ** np.arange(top, dtype=np.uint64)
         power = power[vals]
