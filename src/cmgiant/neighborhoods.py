@@ -29,17 +29,17 @@ pendant vertices never count toward CLASS_CAP, so trees, including stars of
 any width, always get an exact code.
 
 The two censuses rank whole levels of trees at once with AHU's level step,
-on arrays, and build the AHU string once per distinct class. Both use one
-entry, _rank_level, which names each node's multiset of child classes by a
-power sum: with radix the longest row + 1 and top the number of distinct
-classes, a multiset of classes is a base-radix numeral, exact when
-radix**top < 2**62. One running sum over the unsorted rows and one _rank
-call then rank a level, with no sort: _rank uses a presence table when the
-sums span no more than their count (every level of the {1, 3} law at
-r <= 2) and np.unique otherwise. Levels whose sums would pass 62 bits
-(hubs, dense laws at r >= 2) sort each row and fold it with _Rows, which
-packs a row's sorted classes into int64 keys, a key's worth of columns at a
-time. The two sides feed the kernel as follows:
+on arrays, and build the AHU string once per class a tree reaches, from the
+leaves up. Both use one entry, _rank_level, which names each node's
+multiset of child classes by a power sum: with radix the longest row + 1
+and top the number of distinct classes, a multiset of classes is a
+base-radix numeral, exact when radix**top < 2**62. One running sum over the
+unsorted rows and one _rank call then rank a level, with no sort: _rank
+uses a presence table when the sums span no more than their count (every
+level of the {1, 3} law at r <= 2) and np.unique otherwise. Levels whose
+sums would pass 62 bits (hubs, dense laws at r >= 2) sort each row and
+_fold them into int64 keys, a key's worth of columns at a time. The two
+sides feed the kernel as follows:
 
 - Graph side. A tree test takes the sorted (root, endpoint, length) keys
   of every non-backtracking walk of length r + 1 or less from every root,
@@ -72,7 +72,7 @@ import numpy as np
 from .components import ComponentSummary
 from .graph_build import HalfEdgeGraph
 from .local_limit import OffspringSpec
-from .traversal import _check_radius, _tree_roots
+from .traversal import _check_radius, _ragged, _tree_roots
 
 DEFAULT_BALL_CAP = 1000
 CLASS_CAP = 8
@@ -241,11 +241,17 @@ def canonical_code(ball: RootedBall) -> CanonicalBall:
     return CanonicalBall(b"G" + code)
 
 
+def _check_ball(r: int, cap: int) -> None:
+    _check_radius(r)
+    if cap < 1:
+        raise ValueError(f"ball cap must be at least 1, got cap={cap}")
+
+
 def extract_ball(
     g: HalfEdgeGraph, v: int, r: int, cap: int = DEFAULT_BALL_CAP
 ) -> tuple[RootedBall, bool]:
     """The radius-r ball of v in g; the flag reports a cap overflow."""
-    _check_radius(r)
+    _check_ball(r, cap)
     offsets, nbr = g.adjacency()
     dist = {v: 0}
     order = [v]
@@ -311,72 +317,56 @@ def canonical_ball(
 BallDistribution = dict[CanonicalBall, float]
 
 
-class _Rows:
-    """Ragged rows of child classes, ranked so that equal rows share a class.
+def _fold(vals: np.ndarray, base, length, skip=None) -> tuple[np.ndarray, np.ndarray]:
+    """Classes of ragged rows of sorted child classes, equal rows sharing a
+    class, and one row of each class.
 
-    Row i holds the length[i] entries vals[base[i] + j + (j >= skip[i])]:
-    a run that starts at base[i], with the entry at offset skip[i] left out
-    (a skip of length[i] or more leaves nothing out). ranked, when given,
-    holds the classes of rows ranked elsewhere and one row of each class;
-    otherwise the runs must be sorted, and ranking is AHU's level step on
-    packed keys: a row's entries become the digits entry + 1 in radix
-    vals.max() + 2, with 0 past the row's end, so the trailing zeros encode
-    the row length. Each _rank call folds as many columns into (class so
-    far, digits) keys as fit below 2**62, and at least one: about
-    62 / log2(radix) columns in the first fold, which covers every row.
-    When the longest row needs more folds, the rows go in order of
-    decreasing length, each later fold covers only the rows longer than its
-    first column and gives them classes above every earlier one, and one
-    last _rank call makes the classes dense. A level thus costs one ranking
-    per fold, each over only the rows that reach the fold, and gathers of
-    about the first fold's width per row plus the entries past it, so a hub
-    costs about its own entries, not its width times every row. Classes are
-    dense and carry no order.
+    Row i holds the length[i] entries vals[base[i] + j + (j >= skip[i])]: a
+    sorted run that starts at base[i], with the entry at offset skip[i] left
+    out (a skip of length[i] or more leaves nothing out, as do no skips).
+    Ranking is AHU's level step on packed keys: a row's entries become the
+    digits entry + 1 in radix vals.max() + 2, with 0 past the row's end, so
+    the trailing zeros encode the row length. Each _rank call folds as many
+    columns into (class so far, digits) keys as fit below 2**62, and at
+    least one: about 62 / log2(radix) columns in the first fold, which
+    covers every row. When the longest row needs more folds, the rows go in
+    order of decreasing length, each later fold covers only the rows longer
+    than its first column and gives them classes above every earlier one,
+    and one last _rank call makes the classes dense. A level thus costs one
+    ranking per fold, each over only the rows that reach the fold, and
+    gathers of about the first fold's width per row plus the entries past
+    it, so a hub costs about its own entries, not its width times every row.
+    Classes are dense and carry no order.
     """
-
-    def __init__(self, vals: np.ndarray, base, length, skip=None, ranked=None) -> None:
-        self.vals = vals
-        self.base = np.asarray(base, dtype=np.int64)
-        self.length = np.asarray(length, dtype=np.int64)
-        self.skip = self.length if skip is None else skip
-        self.classes, self._rep = self._fold() if ranked is None else ranked
-
-    def _fold(self) -> tuple[np.ndarray, np.ndarray]:
-        vals, base, length, skip = self.vals, self.base, self.length, self.skip
-        width = int(length.max()) if length.size else 0
-        radix = int(vals.max()) + 2 if vals.size else 2
-        order = None
-        if _digits(1, radix, width) < width:
-            # a later fold reaches the rows longer than its first column, a prefix in this order
-            order = np.argsort(-length, kind="stable")
-            base, length, skip = base[order], length[order], skip[order]
-        cls = np.zeros(length.size, dtype=np.int64)
-        first = np.zeros(min(1, length.size), dtype=np.int64)
-        bound, j, k = 0, 0, length.size
-        while j < width:
-            k = int(np.count_nonzero(length[:k] > j)) if j else k
-            key = cls[:k]
-            for _ in range(_digits(max(bound, 1), radix, width - j)):
-                live = length[:k] > j
-                at = np.where(live, base[:k] + j + (skip[:k] <= j), 0)
-                key = key * radix + np.where(live, vals[at] + 1, 0)
-                j += 1
-            fold, first = _rank(key)
-            cls[:k] = bound + fold
-            bound += first.size
-        if bound > first.size:
-            cls, first = _rank(cls)
-        if order is None:
-            return cls, first
-        classes = np.empty_like(cls)
-        classes[order] = cls
-        return classes, order[first]
-
-    def children(self, c: int) -> list[int]:
-        """The child classes in a row of class c."""
-        i = self._rep[c]
-        base, skip = int(self.base[i]), int(self.skip[i])
-        return [int(self.vals[base + j + (j >= skip)]) for j in range(int(self.length[i]))]
+    skip = length if skip is None else skip
+    width = int(length.max()) if length.size else 0
+    radix = int(vals.max()) + 2 if vals.size else 2
+    order = None
+    if _digits(1, radix, width) < width:
+        # a later fold reaches the rows longer than its first column, a prefix in this order
+        order = np.argsort(-length, kind="stable")
+        base, length, skip = base[order], length[order], skip[order]
+    cls = np.zeros(length.size, dtype=np.int64)
+    first = np.zeros(min(1, length.size), dtype=np.int64)
+    bound, j, k = 0, 0, length.size
+    while j < width:
+        k = int(np.count_nonzero(length[:k] > j)) if j else k
+        key = cls[:k]
+        for _ in range(_digits(max(bound, 1), radix, width - j)):
+            live = length[:k] > j
+            at = np.where(live, base[:k] + j + (skip[:k] <= j), 0)
+            key = key * radix + np.where(live, vals[at] + 1, 0)
+            j += 1
+        fold, first = _rank(key)
+        cls[:k] = bound + fold
+        bound += first.size
+    if bound > first.size:
+        cls, first = _rank(cls)
+    if order is None:
+        return cls, first
+    classes = np.empty_like(cls)
+    classes[order] = cls
+    return classes, order[first]
 
 
 def _rank(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -419,8 +409,9 @@ def _sorted_runs(values: np.ndarray, lengths: np.ndarray):
     return values[perm], where
 
 
-def _rank_level(vals: np.ndarray, counts: np.ndarray, rows=None, skip=None) -> _Rows:
-    """Rank a level's rows so that equal multisets of child classes share a class.
+def _rank_level(vals: np.ndarray, counts: np.ndarray, rows=None, skip=None):
+    """The class of each of a level's rows, equal multisets of child classes
+    sharing a class, and the child classes of one row of each class.
 
     vals holds runs of counts[k] classes, in any order; row i is run rows[i]
     (run i when rows is None), less entry skip[i] when skips are given. With
@@ -428,8 +419,7 @@ def _rank_level(vals: np.ndarray, counts: np.ndarray, rows=None, skip=None) -> _
     distinct classes, the power sum of radix**digit over a row names its
     multiset exactly when radix**top < 2**62. A uint64 running sum over the
     runs gives every sum (a wrap-around cancels in the differences), and one
-    _rank call ranks them. Wider levels sort their runs and fold them with
-    _Rows.
+    _rank call ranks them. Wider levels sort their runs and _fold them.
     """
     ends = np.cumsum(counts)
     starts = ends - counts
@@ -437,10 +427,6 @@ def _rank_level(vals: np.ndarray, counts: np.ndarray, rows=None, skip=None) -> _
     seen = np.zeros(int(vals.max()) + 1 if vals.size else 0, dtype=bool)
     seen[vals] = True
     top = int(np.count_nonzero(seen))
-    base = starts if rows is None else starts[rows]
-    length = counts if rows is None else counts[rows]
-    if skip is not None:
-        length = length - 1
     if top < 62 and radix**top < 1 << 62:  # radix >= 2 when top > 0: no huge power
         power = np.zeros(seen.size, dtype=np.uint64)
         power[seen] = np.uint64(radix) ** np.arange(top, dtype=np.uint64)
@@ -453,36 +439,43 @@ def _rank_level(vals: np.ndarray, counts: np.ndarray, rows=None, skip=None) -> _
             key = key[rows]
         if skip is not None:
             key -= power[skip]
-        ranked = _rank(key.view(np.int64))
-        return _Rows(vals, base, length, None if skip is None else skip - base, ranked)
-    vals, where = _sorted_runs(vals, counts)
-    return _Rows(vals, base, length, None if skip is None else where[skip] - base)
+        classes, rep = _rank(key.view(np.int64))
+    else:
+        vals, where = _sorted_runs(vals, counts)
+        base = starts if rows is None else starts[rows]
+        length = (counts if rows is None else counts[rows]) - (skip is not None)
+        if skip is not None:
+            skip = where[skip]
+        classes, rep = _fold(vals, base, length, None if skip is None else skip - base)
+    # one row of each class, gathered at once
+    run = rep if rows is None else rows[rep]
+    length = counts[run] - (skip is not None)
+    row, at = _ragged(starts[run], length)
+    if skip is not None:
+        at += at >= skip[rep][row]
+    flat = vals[at].tolist()
+    bounds = np.cumsum(length).tolist()
+    return classes, [flat[i:j] for i, j in zip([0] + bounds, bounds)]
 
 
-def _class_string(levels: list[_Rows], memo: list[dict], k: int, c: int) -> bytes:
-    """AHU string of class c of levels[k], or of leaf value c when k < 0."""
-    if k < 0:
-        return _ahu(c, [])
-    code = memo[k].get(c)
-    if code is None:
-        children = [_class_string(levels, memo, k - 1, w) for w in levels[k].children(c)]
-        code = memo[k][c] = _ahu(0, children)
-    return code
-
-
-def _encode(levels: list[_Rows], top: np.ndarray) -> tuple[np.ndarray, list[CanonicalBall]]:
+def _encode(levels: list[list[list[int]]], top: np.ndarray) -> tuple[np.ndarray, list[CanonicalBall]]:
     """Class ids of the top rows and the tree code of each class.
 
-    Classes of levels[0] have leaf values as children, classes of levels[k]
-    have classes of levels[k - 1]; with no levels, top holds leaf values. A
-    leaf's string is its stub count, every other node has no stubs, and each
-    string is built once per class, from one row of the class.
+    levels[k][c] lists the children of class c of level k: classes of level
+    k - 1, or leaf values when k = 0; with no levels, top holds leaf values.
+    The classes the top classes reach are found from the top down, and each
+    gets its AHU string once, from the leaves up: a leaf's string is its
+    stub count, every other node has no stubs.
     """
     ids, first = _rank(top)
-    memo: list[dict[int, bytes]] = [{} for _ in levels]
-    top_level = len(levels) - 1
-    codes = [b"T" + _class_string(levels, memo, top_level, c) for c in top[first].tolist()]
-    return ids, [CanonicalBall(code) for code in codes]
+    distinct = top[first].tolist()
+    reached = [set(distinct)]
+    for children in reversed(levels):
+        reached.append({w for c in reached[-1] for w in children[c]})
+    strings = {c: _ahu(c, []) for c in reached.pop()}
+    for children, need in zip(levels, reversed(reached)):
+        strings = {c: _ahu(0, [strings[w] for w in children[c]]) for c in need}
+    return ids, [CanonicalBall(b"T" + strings[c]) for c in distinct]
 
 
 def _tally(counts: dict, ids: np.ndarray, codes: list) -> dict:
@@ -498,7 +491,7 @@ def _tally(counts: dict, ids: np.ndarray, codes: list) -> dict:
 
 def _ball_classes(g: HalfEdgeGraph, r: int, cap: int) -> tuple[np.ndarray, list[CanonicalBall]]:
     """Class id of every root's radius-r ball, and the code of each class."""
-    _check_radius(r)
+    _check_ball(r, cap)
     n, mate = g.n, g.mate
     degree = np.diff(g.offsets)
     far = g.owner[mate]
@@ -507,14 +500,14 @@ def _ball_classes(g: HalfEdgeGraph, r: int, cap: int) -> tuple[np.ndarray, list[
     # a half-edge's class at level k names the tree hanging from its far end
     # when that end is at depth r - k: at depth r its stubs, inside the ball
     # the row of its other half-edges' classes one level down
-    levels: list[_Rows] = []
+    levels = []
     classes = degree[far] - 1
     for _ in range(r - 1):
-        levels.append(_rank_level(classes, degree, far, mate))
-        classes = levels[-1].classes
+        classes, children = _rank_level(classes, degree, far, mate)
+        levels.append(children)
     if r:
-        levels.append(_rank_level(classes, degree, tree))
-        top = levels[-1].classes
+        top, children = _rank_level(classes, degree, tree)
+        levels.append(children)
     else:
         top = degree[tree]
     ids = np.empty(n, dtype=np.int64)
@@ -606,7 +599,9 @@ def bp_ball_distribution(
     tree whose nodes within depth d pass cap is oversize and draws nothing
     more. The levels of a batch are then ranked from depth r up.
     """
-    _check_radius(r)
+    _check_ball(r, cap)
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got samples={samples}")
     root, child = spec.root_pmf, spec.shifted_pmf
     batch = _batch_trees(spec, r, cap)
     counts: dict[CanonicalBall, int] = {}
@@ -628,11 +623,11 @@ def bp_ball_distribution(
             levels[-1][np.repeat(over, width)] = 0
             width = np.where(over, 0, kids)
             levels.append(child.sample(int(width.sum()), rng))
-        rows: list[_Rows] = []
+        rows = []
         classes = levels.pop()
         while levels:
-            rows.append(_rank_level(classes, levels.pop()))
-            classes = rows[-1].classes
+            classes, children = _rank_level(classes, levels.pop())
+            rows.append(children)
         fit = ~over
         fit_ids, codes = _encode(rows, classes[fit])
         ids = np.full(size, len(codes))

@@ -200,6 +200,40 @@ def test_negative_radius_is_rejected(name):
         NEGATIVE_RADIUS_CALLS[name](g, cs, spec)
 
 
+CAP_CALLS = {
+    "extract_ball": lambda g, cs, spec, cap: extract_ball(g, 0, 1, cap),
+    "canonical_ball": lambda g, cs, spec, cap: canonical_ball(g, 0, 1, cap),
+    "empirical_ball_distribution": lambda g, cs, spec, cap: empirical_ball_distribution(g, 1, cap),
+    "restricted_ball_distribution": lambda g, cs, spec, cap: restricted_ball_distribution(g, 1, cs, cap),
+    "bp_ball_distribution": lambda g, cs, spec, cap: bp_ball_distribution(
+        spec, 1, 10, np.random.default_rng(0), cap
+    ),
+}
+
+
+@pytest.mark.parametrize("cap", [0, -1])
+@pytest.mark.parametrize("name", CAP_CALLS)
+def test_cap_below_one_is_rejected(name, cap):
+    # no ball fits a cap below one vertex, the root: both sides refuse it
+    # rather than code every ball exactly or every tree as oversize
+    g = graph_from([1, 2, 1], [1, 0, 3, 2])
+    cs = component_decomposition(g)
+    spec = build_offspring_spec(Pmf.from_dict({1: 0.5, 3: 0.5}))
+    with pytest.raises(ValueError, match=rf"\bcap={cap}\b"):
+        CAP_CALLS[name](g, cs, spec, cap)
+
+
+@pytest.mark.parametrize("samples", [0, -3])
+def test_bp_census_rejects_samples_below_one(samples):
+    # a census of no trees would be a law of mass 0; nothing is drawn
+    spec = build_offspring_spec(Pmf.from_dict({1: 0.5, 3: 0.5}))
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match=rf"\bsamples={samples}\b"):
+        bp_ball_distribution(spec, 2, samples, rng)
+    assert rng.bit_generator.state == state
+
+
 def test_star_and_path_get_distinct_codes():
     star = ball(4, [(0, 1), (0, 2), (0, 3)], (0, 0, 0, 0))
     path = ball(4, [(0, 1), (1, 2), (2, 3)], (0, 0, 0, 0))
@@ -315,7 +349,7 @@ def test_tree_codes_match_the_branching_process_encoder(n, data):
 
 @st.composite
 def ragged_rows(draw):
-    """Rows over shared sorted runs, as _Rows takes them: each row is a run
+    """Rows over shared sorted runs, as _fold takes them: each row is a run
     with the entry at its skip offset left out, or the whole run when the
     skip is past its end or there are no skips at all."""
     big = draw(st.sampled_from([3, 60, 2**20, 2**40]))
@@ -324,28 +358,34 @@ def ragged_rows(draw):
     starts = np.cumsum([0] + [len(run) for run in runs])
     picks = draw(st.lists(st.tuples(st.integers(0, len(runs) - 1), st.integers(0, 13)), max_size=40))
     skipping = draw(st.booleans())
-    base = [int(starts[i]) for i, _ in picks]
-    length = [len(runs[i]) - (skipping and s < len(runs[i])) for i, s in picks]
+    base = np.array([starts[i] for i, _ in picks], dtype=np.int64)
+    length = np.array([len(runs[i]) - (skipping and s < len(runs[i])) for i, s in picks], dtype=np.int64)
     skip = np.array([s for _, s in picks], dtype=np.int64) if skipping else None
     vals = np.array([x for run in runs for x in run], dtype=np.int64)
     return vals, base, length, skip
 
 
 @given(ragged_rows())
-@example((np.array([0]), [0, 0], [0, 1], np.array([0, 1])))  # the rows [] and [0]
-@example((np.full(22, 60), [0, 10], [10, 12], None))  # equal up to the first fold's end
+@example((np.array([0]), np.array([0, 0]), np.array([0, 1]), np.array([0, 1])))  # the rows [] and [0]
+@example((np.full(22, 60), np.array([0, 10]), np.array([10, 12]), None))  # equal up to the first fold's end
 def test_rows_rank_like_the_column_by_column_reference(rows):
     # zero-length rows, a skip at every offset and entries up to 2**40, whose
     # keys take one np.unique per column, against the one-column-per-fold ranking
     vals, base, length, skip = rows
-    ranked = neighborhoods._Rows(vals, base, length, skip)
+    classes, rep = neighborhoods._fold(vals, base, length, skip)
     expected = rows_reference(vals, base, length, skip)
-    pairs = set(zip(ranked.classes.tolist(), expected.tolist()))
-    assert len(pairs) == len(set(ranked.classes.tolist())) == len(set(expected.tolist()))
-    for i, c in enumerate(ranked.classes.tolist()):
+    pairs = set(zip(classes.tolist(), expected.tolist()))
+    assert len(pairs) == len(set(classes.tolist())) == len(set(expected.tolist()))
+
+    def row(i):
         s = len(vals) if skip is None else int(skip[i])
-        row = [int(vals[base[i] + j + (j >= s)]) for j in range(length[i])]
-        assert ranked.children(c) == row
+        return [int(vals[base[i] + j + (j >= s)]) for j in range(length[i])]
+
+    # rep holds one row of each class, equal to every row of the class
+    assert len(rep) == len(pairs)
+    for i, c in enumerate(classes.tolist()):
+        assert classes[rep[c]] == c
+        assert row(int(rep[c])) == row(i)
 
 
 def test_rows_fold_long_rows_alone(monkeypatch):
@@ -364,12 +404,12 @@ def test_rows_fold_long_rows_alone(monkeypatch):
         return unique(a, **kw)
 
     monkeypatch.setattr(np, "unique", counted)
-    ranked = neighborhoods._Rows(vals, base, length)
+    classes, rep = neighborhoods._fold(vals, base, length)
     monkeypatch.undo()
     assert len(sorted_keys) > 2 and sum(sorted_keys) < 3 * length.size
     expected = rows_reference(vals, base, length)
-    assert len(set(zip(ranked.classes.tolist(), expected.tolist()))) == len(set(expected.tolist()))
-    assert ranked.children(int(ranked.classes[5000])) == list(range(1000, 2000))
+    assert len(set(zip(classes.tolist(), expected.tolist()))) == len(set(expected.tolist()))
+    assert rep[classes[5000]] == 5000  # the long row is alone in its class, so it holds it
 
 
 @st.composite
@@ -408,7 +448,7 @@ def test_level_rows_rank_like_the_column_by_column_reference(level):
     at = None if skip is None else np.array([starts[i] + s for i, s in zip(picked, skip)], dtype=np.int64)
     top = len(set(vals.tolist()))
     with mock.patch.object(neighborhoods, "_sorted_runs", wraps=neighborhoods._sorted_runs) as fold:
-        level_rows = neighborhoods._rank_level(
+        classes, children = neighborhoods._rank_level(
             vals, counts, None if rows is None else np.array(rows, dtype=np.int64), at
         )
     assert fold.called == ((int(counts.max()) + 1) ** top >= 2**62)
@@ -425,10 +465,11 @@ def test_level_rows_rank_like_the_column_by_column_reference(level):
         [len(row) for row in expected_rows],
         None if skip is None else np.array(offsets, dtype=np.int64),
     )
-    classes = level_rows.classes.tolist()
-    assert len(set(zip(classes, expected.tolist()))) == len(set(classes)) == len(set(expected.tolist()))
+    classes = classes.tolist()
+    assert len(set(zip(classes, expected.tolist()))) == len(set(classes)) == len(children)
+    assert len(children) == len(set(expected.tolist()))
     for c, row in zip(classes, expected_rows):
-        assert sorted(level_rows.children(c)) == row
+        assert sorted(children[c]) == row
 
 
 @given(st.integers(1, 2**22), st.integers(2, 2**41), st.integers(1, 40))
@@ -667,19 +708,63 @@ def test_census_matches_per_root_oracle_on_a_sparse_graph(mixture_pmf, r):
     assert empirical_ball_distribution(g, r) == ball_census(g, r, DEFAULT_BALL_CAP)
 
 
-def test_census_with_a_hub_folds_wide_rows_like_the_oracle():
-    # a degree-40 hub among {1, 3} vertices: at r=3 the root level's rows
-    # hold 35 distinct half-edge classes, too many for power sums in radix
-    # 41, so that level sorts and folds its rows
+def hub_graph() -> HalfEdgeGraph:
+    """A degree-40 hub among 300 vertices of degree 1 or 3."""
     rng = np.random.default_rng(1)
     degrees = np.concatenate(([40], rng.choice([1, 3], 300)))  # an even sum
-    g = pair_half_edges(DegreeSequence(degrees), rng)
+    return pair_half_edges(DegreeSequence(degrees), rng)
+
+
+def test_census_with_a_hub_folds_wide_rows_like_the_oracle():
+    # at r=3 the root level's rows hold 35 distinct half-edge classes, too
+    # many for power sums in radix 41, so that level sorts and folds its rows
+    g = hub_graph()
     with mock.patch.object(neighborhoods, "_sorted_runs", wraps=neighborhoods._sorted_runs) as fold:
         emp = empirical_ball_distribution(g, 3)
     assert fold.called
     expected = ball_census(g, 3, DEFAULT_BALL_CAP)
     assert emp == expected
     assert list(emp) == list(expected)
+
+
+def test_census_with_a_hub_names_reached_rows_once(monkeypatch):
+    # on the hub graph at r=3, _encode builds the AHU string of each class
+    # that the top classes reach exactly once, and of no other class: naming
+    # every class of every level would name strings no ball needs, and near
+    # hubs those are huge
+    g = hub_graph()
+    ahu, encode = neighborhoods._ahu, neighborhoods._encode
+    named: list[bytes] = []
+    runs = []
+
+    def counted_ahu(stubs, child_codes):
+        named.append(ahu(stubs, child_codes))
+        return named[-1]
+
+    def counted_encode(levels, top):
+        runs.append((levels, top))
+        monkeypatch.setattr(neighborhoods, "_ahu", counted_ahu)
+        try:
+            return encode(levels, top)
+        finally:
+            monkeypatch.setattr(neighborhoods, "_ahu", ahu)
+
+    monkeypatch.setattr(neighborhoods, "_encode", counted_encode)
+    emp = empirical_ball_distribution(g, 3)
+    monkeypatch.undo()
+    assert emp == ball_census(g, 3, DEFAULT_BALL_CAP)
+    ((levels, top),) = runs
+    # the reached classes of each level, from the leaf values up
+    reached = [set(top.tolist())]
+    for children in reversed(levels):
+        reached.append({w for c in reached[-1] for w in children[c]})
+    reached.reverse()
+    assert len(named) == sum(len(level) for level in reached)
+    at = 0
+    for level in reached:  # one string per class, level by level from the leaves
+        assert len(set(named[at : at + len(level)])) == len(level)
+        at += len(level)
+    assert sum(map(len, reached[1:])) < sum(map(len, levels))  # some classes go unnamed
 
 
 def test_census_routes_every_kind_of_root():
