@@ -471,6 +471,10 @@ def _parse_law(
             dist = empirical_distribution(sequence)
         else:
             pmf, sequence = {int(k): float(v) for k, v in raw_pmf.items()}, None
+            if list(map(str, pmf)) != list(map(str, raw_pmf)):  # also when two keys name one degree
+                raise ValueError(f"keys must be distinct integers spelled plainly, got {list(raw_pmf)}")
+            if any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in raw_pmf.values()):
+                raise ValueError(f"masses must be numbers, got {list(raw_pmf.values())}")
             dist = Pmf.from_dict(pmf)
         try:
             spec = build_offspring_spec(dist)

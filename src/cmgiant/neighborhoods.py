@@ -37,9 +37,10 @@ base-radix numeral, exact when radix**top < 2**62. One running sum over the
 unsorted rows and one _rank call then rank a level, with no sort: _rank
 uses a presence table when the sums span no more than their count (every
 level of the {1, 3} law at r <= 2) and np.unique otherwise. Levels whose
-sums would pass 62 bits (hubs, dense laws at r >= 2) sort each row and
-_fold them into int64 keys, a key's worth of columns at a time. The two
-sides feed the kernel as follows:
+sums would pass 62 bits (hubs, dense laws at r >= 2) sort each run, keep
+one row of the rows that repeat a run less an equal class, and _rank_rows
+ranks the rows of each length as one matrix. The two sides feed the kernel
+as follows:
 
 - Graph side. A tree test takes the sorted (root, endpoint, length) keys
   of every non-backtracking walk of length r + 1 or less from every root,
@@ -317,56 +318,40 @@ def canonical_ball(
 BallDistribution = dict[CanonicalBall, float]
 
 
-def _fold(vals: np.ndarray, base, length, skip=None) -> tuple[np.ndarray, np.ndarray]:
+def _rank_rows(vals: np.ndarray, base, length, skip=None) -> tuple[np.ndarray, np.ndarray]:
     """Classes of ragged rows of sorted child classes, equal rows sharing a
     class, and one row of each class.
 
     Row i holds the length[i] entries vals[base[i] + j + (j >= skip[i])]: a
     sorted run that starts at base[i], with the entry at offset skip[i] left
     out (a skip of length[i] or more leaves nothing out, as do no skips).
-    Ranking is AHU's level step on packed keys: a row's entries become the
-    digits entry + 1 in radix vals.max() + 2, with 0 past the row's end, so
-    the trailing zeros encode the row length. Each _rank call folds as many
-    columns into (class so far, digits) keys as fit below 2**62, and at
-    least one: about 62 / log2(radix) columns in the first fold, which
-    covers every row. When the longest row needs more folds, the rows go in
-    order of decreasing length, each later fold covers only the rows longer
-    than its first column and gives them classes above every earlier one,
-    and one last _rank call makes the classes dense. A level thus costs one
-    ranking per fold, each over only the rows that reach the fold, and
-    gathers of about the first fold's width per row plus the entries past
-    it, so a hub costs about its own entries, not its width times every row.
-    Classes are dense and carry no order.
+    Only rows of one length can be equal, and they are the rows of a matrix:
+    each length's rows are gathered once and ranked by one _rank call on
+    their numerals in radix vals.max() + 1 when those stay below 2**62, or
+    else by np.unique on the rows as byte strings. A level thus costs about
+    its own entries. Classes are dense and carry no order.
     """
-    skip = length if skip is None else skip
-    width = int(length.max()) if length.size else 0
-    radix = int(vals.max()) + 2 if vals.size else 2
-    order = None
-    if _digits(1, radix, width) < width:
-        # a later fold reaches the rows longer than its first column, a prefix in this order
-        order = np.argsort(-length, kind="stable")
-        base, length, skip = base[order], length[order], skip[order]
-    cls = np.zeros(length.size, dtype=np.int64)
-    first = np.zeros(min(1, length.size), dtype=np.int64)
-    bound, j, k = 0, 0, length.size
-    while j < width:
-        k = int(np.count_nonzero(length[:k] > j)) if j else k
-        key = cls[:k]
-        for _ in range(_digits(max(bound, 1), radix, width - j)):
-            live = length[:k] > j
-            at = np.where(live, base[:k] + j + (skip[:k] <= j), 0)
-            key = key * radix + np.where(live, vals[at] + 1, 0)
-            j += 1
-        fold, first = _rank(key)
-        cls[:k] = bound + fold
-        bound += first.size
-    if bound > first.size:
-        cls, first = _rank(cls)
-    if order is None:
-        return cls, first
-    classes = np.empty_like(cls)
-    classes[order] = cls
-    return classes, order[first]
+    radix = int(vals.max()) + 1 if vals.size else 1
+    order = np.argsort(length, kind="stable")
+    sizes = length[order]
+    cuts = np.flatnonzero(np.diff(sizes, prepend=-1)).tolist()
+    classes = np.empty(length.size, dtype=np.int64)
+    bound = 0
+    for lo, hi in zip(cuts, cuts[1:] + [sizes.size]):
+        group, j = order[lo:hi], np.arange(sizes[lo])
+        at = base[group, None] + j
+        if skip is not None:
+            at += j >= skip[group, None]
+        rows = vals[at]
+        if radix**j.size < 1 << 62:
+            cls = _rank(rows @ radix**j)[0]
+        else:
+            cls = np.unique(rows.view(f"V{rows.itemsize * j.size}").ravel(), return_inverse=True)[1]
+        classes[group] = bound + cls
+        bound += int(cls.max()) + 1
+    rep = np.empty(bound, dtype=np.int64)
+    rep[classes] = np.arange(classes.size)
+    return classes, rep
 
 
 def _rank(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -390,15 +375,6 @@ def _rank(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return cls, first
 
 
-def _digits(bound: int, radix: int, most: int) -> int:
-    """How many radix digits, at least one and at most most, keys of bound
-    classes so far can take below 2**62."""
-    m = 1
-    while m < most and bound * radix ** (m + 1) < 1 << 62:
-        m += 1
-    return m
-
-
 def _sorted_runs(values: np.ndarray, lengths: np.ndarray):
     """values with each run of lengths[i] consecutive entries sorted, and the
     sorted position of every entry: one stable sort of run * span + value."""
@@ -419,7 +395,9 @@ def _rank_level(vals: np.ndarray, counts: np.ndarray, rows=None, skip=None):
     distinct classes, the power sum of radix**digit over a row names its
     multiset exactly when radix**top < 2**62. A uint64 running sum over the
     runs gives every sum (a wrap-around cancels in the differences), and one
-    _rank call ranks them. Wider levels sort their runs and _fold them.
+    _rank call ranks them. Wider levels sort their runs and rank one row of
+    each (run, skipped class) pair with _rank_rows, so a hub of degree D
+    whose half-edges fall in c classes costs about c * D entries, not D**2.
     """
     ends = np.cumsum(counts)
     starts = ends - counts
@@ -442,11 +420,18 @@ def _rank_level(vals: np.ndarray, counts: np.ndarray, rows=None, skip=None):
         classes, rep = _rank(key.view(np.int64))
     else:
         vals, where = _sorted_runs(vals, counts)
-        base = starts if rows is None else starts[rows]
-        length = (counts if rows is None else counts[rows]) - (skip is not None)
-        if skip is not None:
+        run = np.arange(counts.size) if rows is None else rows
+        if skip is None:
+            classes, rep = _rank_rows(vals, starts[run], counts[run])
+        else:
+            # rows of one run that skip equal classes are equal, so each
+            # (run, skipped class) pair is ranked on one row of it
             skip = where[skip]
-        classes, rep = _fold(vals, base, length, None if skip is None else skip - base)
+            pair, rep = _rank(run * (int(vals.max()) + 1) + vals[skip])
+            run = run[rep]
+            classes, first = _rank_rows(vals, starts[run], counts[run] - 1, skip[rep] - starts[run])
+            classes, rep = classes[pair], rep[first]
+            del pair, first  # freed before the gather below, where a level peaks
     # one row of each class, gathered at once
     run = rep if rows is None else rows[rep]
     length = counts[run] - (skip is not None)
@@ -458,8 +443,8 @@ def _rank_level(vals: np.ndarray, counts: np.ndarray, rows=None, skip=None):
     return classes, [flat[i:j] for i, j in zip([0] + bounds, bounds)]
 
 
-def _encode(levels: list[list[list[int]]], top: np.ndarray) -> tuple[np.ndarray, list[CanonicalBall]]:
-    """Class ids of the top rows and the tree code of each class.
+def _encode(levels: list[list[list[int]]], top: np.ndarray) -> tuple[np.ndarray, list[bytes]]:
+    """Class ids of the top rows and the tree code bytes of each class.
 
     levels[k][c] lists the children of class c of level k: classes of level
     k - 1, or leaf values when k = 0; with no levels, top holds leaf values.
@@ -475,7 +460,7 @@ def _encode(levels: list[list[list[int]]], top: np.ndarray) -> tuple[np.ndarray,
     strings = {c: _ahu(c, []) for c in reached.pop()}
     for children, need in zip(levels, reversed(reached)):
         strings = {c: _ahu(0, [strings[w] for w in children[c]]) for c in need}
-    return ids, [CanonicalBall(b"T" + strings[c]) for c in distinct]
+    return ids, [b"T" + strings[c] for c in distinct]
 
 
 def _tally(counts: dict, ids: np.ndarray, codes: list) -> dict:
@@ -489,8 +474,8 @@ def _tally(counts: dict, ids: np.ndarray, codes: list) -> dict:
     return counts
 
 
-def _ball_classes(g: HalfEdgeGraph, r: int, cap: int) -> tuple[np.ndarray, list[CanonicalBall]]:
-    """Class id of every root's radius-r ball, and the code of each class."""
+def _ball_classes(g: HalfEdgeGraph, r: int, cap: int) -> tuple[np.ndarray, list[bytes]]:
+    """Class id of every root's radius-r ball, and the code bytes of each class."""
     _check_ball(r, cap)
     n, mate = g.n, g.mate
     degree = np.diff(g.offsets)
@@ -516,7 +501,7 @@ def _ball_classes(g: HalfEdgeGraph, r: int, cap: int) -> tuple[np.ndarray, list[
     rest = np.ones(n, dtype=bool)
     rest[tree] = False
     for v in np.flatnonzero(rest).tolist():
-        code = canonical_ball(g, v, r, cap)[1]
+        code = canonical_ball(g, v, r, cap)[1].code
         if code not in index:
             index[code] = len(codes)
             codes.append(code)
@@ -538,7 +523,7 @@ def empirical_ball_distribution(
     canonical_ball's for every root.
     """
     ids, codes = _ball_classes(g, r, cap)
-    return {code: c / g.n for code, c in _tally({}, ids, codes).items()}
+    return {CanonicalBall(code): c / g.n for code, c in _tally({}, ids, codes).items()}
 
 
 @dataclass(frozen=True)
@@ -565,8 +550,8 @@ def restricted_ball_distribution(
     inside = cs.labels == 0
     giant, other = _tally({}, ids[inside], codes), _tally({}, ids[~inside], codes)
     return RestrictedBallDistribution(
-        giant={code: c / g.n for code, c in giant.items()},
-        non_giant={code: c / g.n for code, c in other.items()},
+        giant={CanonicalBall(code): c / g.n for code, c in giant.items()},
+        non_giant={CanonicalBall(code): c / g.n for code, c in other.items()},
     )
 
 
@@ -604,7 +589,7 @@ def bp_ball_distribution(
         raise ValueError(f"samples must be at least 1, got samples={samples}")
     root, child = spec.root_pmf, spec.shifted_pmf
     batch = _batch_trees(spec, r, cap)
-    counts: dict[CanonicalBall, int] = {}
+    counts: dict[bytes, int] = {}
     for done in range(0, samples, batch):
         size = min(batch, samples - done)
         # levels[d] holds the child counts of the depth-d nodes; the last
@@ -632,8 +617,8 @@ def bp_ball_distribution(
         fit_ids, codes = _encode(rows, classes[fit])
         ids = np.full(size, len(codes))
         ids[fit] = fit_ids
-        _tally(counts, ids, codes + [OVERSIZE_BALL])
-    return {code: c / samples for code, c in counts.items()}
+        _tally(counts, ids, codes + [_OVERSIZE])
+    return {CanonicalBall(code): c / samples for code, c in counts.items()}
 
 
 def tv_distance(a: BallDistribution, b: BallDistribution) -> float:

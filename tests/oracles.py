@@ -229,7 +229,7 @@ def bp_ball_census(spec, r: int, samples: int, rng, cap: int, batch: int):
 
 
 def rows_reference(vals, base, length, skip=None) -> np.ndarray:
-    """Classes of the ragged rows neighborhoods._fold ranks, one column at a time.
+    """Classes of the ragged rows neighborhoods._rank_rows ranks, one column at a time.
 
     Row i holds vals[base[i] + j + (j >= skip[i])] for j < length[i]. The
     rows are put in order of decreasing length, so each column reaches a

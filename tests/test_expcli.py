@@ -639,6 +639,13 @@ def test_main_bad_config_exits_two(tmp_path, capsys):
         ("r", [2, 2.0]),
         ("--n", "300,300"),
         ("--seeds", "1,1"),
+        ("pmf", {"1": True}),
+        ("pmf", {"1": "0.5", "3": "0.5"}),
+        ("pmf", {"1_0": 1.0}),
+        ("pmf", {"+3": 1.0}),
+        ("pmf", {" 3": 1.0}),
+        ("pmf", {"01": 0.0, "1": 1.0}),
+        ("pmf", {"1": 0.5, "3": 0.5, "01": 0.0}),
     ],
 )
 def test_main_malformed_field_exits_two_naming_it(tmp_path, capsys, field, value):

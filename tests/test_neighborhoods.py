@@ -349,8 +349,8 @@ def test_tree_codes_match_the_branching_process_encoder(n, data):
 
 @st.composite
 def ragged_rows(draw):
-    """Rows over shared sorted runs, as _fold takes them: each row is a run
-    with the entry at its skip offset left out, or the whole run when the
+    """Rows over shared sorted runs, as _rank_rows takes them: each row is a
+    run with the entry at its skip offset left out, or the whole run when the
     skip is past its end or there are no skips at all."""
     big = draw(st.sampled_from([3, 60, 2**20, 2**40]))
     entry = st.sampled_from([0, 1, 2, big // 2, big])
@@ -366,13 +366,15 @@ def ragged_rows(draw):
 
 
 @given(ragged_rows())
-@example((np.array([0]), np.array([0, 0]), np.array([0, 1]), np.array([0, 1])))  # the rows [] and [0]
-@example((np.full(22, 60), np.array([0, 10]), np.array([10, 12]), None))  # equal up to the first fold's end
+@example((np.array([0]), np.array([0, 0]), np.array([0, 1]), np.array([0, 1])))  # packed: the rows [] and [0]
+@example(  # byte strings: in radix 2**32 the numeral of [0, 0, 1] would wrap to that of [0, 0, 0]
+    (np.array([0, 0, 0, 0, 0, 1, 2**32 - 1]), np.array([0, 3, 6]), np.array([3, 3, 1]), None)
+)
 def test_rows_rank_like_the_column_by_column_reference(rows):
     # zero-length rows, a skip at every offset and entries up to 2**40, whose
-    # keys take one np.unique per column, against the one-column-per-fold ranking
+    # rows take packed numerals or byte strings, against one np.unique per column
     vals, base, length, skip = rows
-    classes, rep = neighborhoods._fold(vals, base, length, skip)
+    classes, rep = neighborhoods._rank_rows(vals, base, length, skip)
     expected = rows_reference(vals, base, length, skip)
     pairs = set(zip(classes.tolist(), expected.tolist()))
     assert len(pairs) == len(set(classes.tolist())) == len(set(expected.tolist()))
@@ -388,25 +390,29 @@ def test_rows_rank_like_the_column_by_column_reference(rows):
         assert row(int(rep[c])) == row(i)
 
 
-def test_rows_fold_long_rows_alone(monkeypatch):
-    # one row of 1000 entries among 10,000 rows of one: the long row's later
-    # columns are folded into its own key alone, so the sorts see about two
-    # keys per row rather than one per row and fold
+def test_rows_rank_long_rows_alone(monkeypatch):
+    # one row of 1000 entries among 10,000 rows of one: each row length is
+    # ranked by one call over its own rows, so the long row's byte string is
+    # sorted alone and the calls see one key per row
     vals = np.arange(2000, dtype=np.int64)
     base = np.arange(10_001) % 2000
     length = np.ones(10_001, dtype=np.int64)
     length[5000] = 1000
-    sorted_keys = []
-    unique = np.unique
+    keys = []
+    rank, unique = neighborhoods._rank, np.unique
 
-    def counted(a, **kw):
-        sorted_keys.append(np.size(a))
-        return unique(a, **kw)
+    def counted(ranking):
+        def call(a, **kw):
+            keys.append(np.size(a))
+            return ranking(a, **kw)
 
-    monkeypatch.setattr(np, "unique", counted)
-    classes, rep = neighborhoods._fold(vals, base, length)
+        return call
+
+    monkeypatch.setattr(neighborhoods, "_rank", counted(rank))
+    monkeypatch.setattr(np, "unique", counted(unique))
+    classes, rep = neighborhoods._rank_rows(vals, base, length)
     monkeypatch.undo()
-    assert len(sorted_keys) > 2 and sum(sorted_keys) < 3 * length.size
+    assert sorted(keys) == [1, 10_000]  # one call per length, 10,001 keys in all
     expected = rows_reference(vals, base, length)
     assert len(set(zip(classes.tolist(), expected.tolist()))) == len(set(expected.tolist()))
     assert rep[classes[5000]] == 5000  # the long row is alone in its class, so it holds it
@@ -430,33 +436,24 @@ def wide_runs(radix: int, top: int) -> tuple:
     return [[c] for c in range(top)] + [[0] * (radix - 1)], None, None
 
 
-@given(level_runs())
-@example(wide_runs(2, 61))  # 2**61: power sums
-@example(wide_runs(3, 39))  # 3**39, just below 2**62: power sums
-@example(wide_runs(2, 62))  # 2**62: sorted runs and folds
-@example(wide_runs(4, 31))  # 4**31 = 2**62: sorted runs and folds
-@example(([[2, 0, 2, 0], [0, 2, 2, 0], [2]], [0, 1, 1, 0, 2], [0, 1, 2, 3, 0]))
-def test_level_rows_rank_like_the_column_by_column_reference(level):
-    # the power sums of unsorted runs, or the sorted runs' folds when the
-    # sums would reach 2**62, give the partition of the reference ranking,
-    # and a class's children are the multiset of each of its rows
-    runs, rows, skip = level
+def check_level_against_reference(runs, rows, skip) -> None:
+    """Rank a level with _rank_level and check it against rows_reference:
+    the same partition, and a class's children are the multiset of each of
+    its rows. rows index runs (None for every run); skip[i] is an offset
+    into row i's run (None for no skips)."""
     counts = np.array([len(run) for run in runs], dtype=np.int64)
     vals = np.array([c for run in runs for c in run], dtype=np.int64)
     starts = np.cumsum(counts) - counts
     picked = list(range(len(runs))) if rows is None else rows
     at = None if skip is None else np.array([starts[i] + s for i, s in zip(picked, skip)], dtype=np.int64)
-    top = len(set(vals.tolist()))
-    with mock.patch.object(neighborhoods, "_sorted_runs", wraps=neighborhoods._sorted_runs) as fold:
-        classes, children = neighborhoods._rank_level(
-            vals, counts, None if rows is None else np.array(rows, dtype=np.int64), at
-        )
-    assert fold.called == ((int(counts.max()) + 1) ** top >= 2**62)
+    classes, children = neighborhoods._rank_level(
+        vals, counts, None if rows is None else np.array(rows, dtype=np.int64), at
+    )
     expected_rows = [sorted(runs[i]) for i in picked]
     if skip is not None:
         for row, i, s in zip(expected_rows, picked, skip):
             row.remove(runs[i][s])
-    # the reference folds sorted runs: every run sorted, each skip at its value
+    # the reference ranks sorted runs: every run sorted, each skip at its value
     sorted_vals = np.array([c for run in runs for c in sorted(run)], dtype=np.int64)
     offsets = None if skip is None else [sorted(runs[i]).index(runs[i][s]) for i, s in zip(picked, skip)]
     expected = rows_reference(
@@ -472,15 +469,33 @@ def test_level_rows_rank_like_the_column_by_column_reference(level):
         assert sorted(children[c]) == row
 
 
-@given(st.integers(1, 2**22), st.integers(2, 2**41), st.integers(1, 40))
-@example(2**22, 2**41, 3)  # not even one digit fits
-def test_rows_fold_as_many_digits_as_fit(bound, radix, most):
-    # keys of bound classes so far and m digits stay below 2**62, yet each
-    # fold takes at least one digit
-    m = neighborhoods._digits(bound, radix, most)
-    assert 1 <= m <= most
-    assert m == 1 or bound * radix**m < 2**62
-    assert m == most or bound * radix ** (m + 1) >= 2**62
+@given(level_runs())
+@example(wide_runs(2, 61))  # 2**61: power sums
+@example(wide_runs(3, 39))  # 3**39, just below 2**62: power sums
+@example(wide_runs(2, 62))  # 2**62: sorted runs, ranked by length
+@example(wide_runs(4, 31))  # 4**31 = 2**62: sorted runs, ranked by length
+@example(([[2, 0, 2, 0], [0, 2, 2, 0], [2]], [0, 1, 1, 0, 2], [0, 1, 2, 3, 0]))
+def test_level_rows_rank_like_the_column_by_column_reference(level):
+    # the power sums of unsorted runs, or the sorted runs' rows when the
+    # sums would reach 2**62, give the partition of the reference ranking
+    runs, rows, skip = level
+    top = len({c for run in runs for c in run})
+    radix = max(map(len, runs)) + 1
+    with mock.patch.object(neighborhoods, "_sorted_runs", wraps=neighborhoods._sorted_runs) as wide:
+        check_level_against_reference(runs, rows, skip)
+    assert wide.called == (radix**top >= 2**62)
+
+
+def test_level_rows_of_one_run_are_ranked_once_per_skipped_class():
+    # 1,000 rows each skip one entry of a run of 1,000 entries in 3 classes;
+    # 7 one-class runs more make 1001**10 >= 2**62, so the level is wide.
+    # Rows of the run that skip equal classes are equal, so _rank_rows gets
+    # at most one of them per class, not 1,000 rows of 999 entries
+    runs = [[k % 3 for k in range(1000)]] + [[c] for c in range(3, 10)]
+    with mock.patch.object(neighborhoods, "_rank_rows", wraps=neighborhoods._rank_rows) as rank_rows:
+        check_level_against_reference(runs, [0] * 1000, list(range(1000)))
+    (_, base, _, _), _ = rank_rows.call_args
+    assert rank_rows.call_count == 1 and np.count_nonzero(base == 0) <= 3
 
 
 @given(
@@ -717,11 +732,12 @@ def hub_graph() -> HalfEdgeGraph:
 
 def test_census_with_a_hub_folds_wide_rows_like_the_oracle():
     # at r=3 the root level's rows hold 35 distinct half-edge classes, too
-    # many for power sums in radix 41, so that level sorts and folds its rows
+    # many for power sums in radix 41, so that level sorts its runs and
+    # ranks its rows one length at a time
     g = hub_graph()
-    with mock.patch.object(neighborhoods, "_sorted_runs", wraps=neighborhoods._sorted_runs) as fold:
+    with mock.patch.object(neighborhoods, "_sorted_runs", wraps=neighborhoods._sorted_runs) as wide:
         emp = empirical_ball_distribution(g, 3)
-    assert fold.called
+    assert wide.called
     expected = ball_census(g, 3, DEFAULT_BALL_CAP)
     assert emp == expected
     assert list(emp) == list(expected)
