@@ -31,7 +31,6 @@ import math
 import os
 import sys
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from functools import cached_property
 from typing import Callable
@@ -192,7 +191,8 @@ def _necessity_demo(job: Job) -> dict:
 def _local_conv(job: Job) -> dict:
     cfg = job.cfg
     record = {}
-    for r in cfg.r_values:
+    # largest radius first: its tree test serves the smaller radii
+    for r in sorted(cfg.r_values, reverse=True):
         emp = empirical_ball_distribution(job.graph, r)
         bp = bp_ball_distribution(
             cfg.spec, r, cfg.bp_samples, derive_rng(job.seed, STREAM_BP, r)
@@ -616,6 +616,9 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> int:
     workers = min(threads, len(jobs))
     try:
         if workers > 1:
+            # imported here: a one-worker run needs none of multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
+
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 rows = list(pool.map(_worker, jobs))
         else:

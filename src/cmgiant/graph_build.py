@@ -34,6 +34,9 @@ class HalfEdgeGraph:
         degrees = np.diff(self.offsets)
         self.owner = np.repeat(np.arange(self.n, dtype=np.int64), degrees)
         self._adjacency: tuple[list[int], list[int]] | None = None
+        # (r0, roots over the cap at r0, cyclic roots, their cycle radii),
+        # cached by traversal._tree_roots for every radius up to r0
+        self._cycles: tuple | None = None
 
     @classmethod
     def from_degrees(cls, seq: DegreeSequence, mate: np.ndarray) -> "HalfEdgeGraph":
@@ -169,10 +172,11 @@ def truncate_explode(seq: DegreeSequence, b: int) -> ExplosionMap:
     Vertex v keeps its min(d_v, b) lowest labels; every displaced half-edge
     becomes a new degree-1 vertex appended after the originals, scanning
     vertices in order and their displaced labels in increasing order. Total
-    degree is preserved exactly. The relabeling is computed with array
-    operations from each label's owner and its offset within that owner: a
-    kept label moves to the same offset in its vertex's truncated range, and
-    the j-th displaced label becomes the single label of vertex n + j.
+    degree is preserved exactly. The relabeling ranks the labels with one
+    running count of the displaced ones: a kept label moves to the same
+    offset in its vertex's truncated range, which is its rank among the kept
+    labels, and the j-th displaced label becomes the single label of vertex
+    n + j.
 
     Args:
         b: degree cutoff, at least 1.
@@ -186,13 +190,13 @@ def truncate_explode(seq: DegreeSequence, b: int) -> ExplosionMap:
     truncated = DegreeSequence(np.concatenate([kept, np.ones(n_plus, dtype=np.int64)]))
 
     owner = np.repeat(np.arange(n, dtype=np.int64), degrees)
-    old_starts = np.cumsum(degrees) - degrees
-    new_starts = np.cumsum(kept) - kept
-    offset = np.arange(seq.total_degree, dtype=np.int64) - old_starts[owner]
-    keep = offset < b
-    relab = np.empty(seq.total_degree, dtype=np.int64)
-    relab[keep] = new_starts[owner[keep]] + offset[keep]
-    relab[~keep] = np.arange(seq.total_degree - n_plus, seq.total_degree, dtype=np.int64)
+    labels = np.arange(seq.total_degree, dtype=np.int64)
+    keep = labels - (np.cumsum(degrees) - degrees)[owner] < b
+    # labels displaced at or before each label: a kept label moves down by
+    # that many, and the j-th displaced one (moved = j + 1) follows the kept
+    # labels in j-th place
+    moved = np.cumsum(~keep)
+    relab = np.where(keep, labels - moved, moved + (seq.total_degree - n_plus - 1))
     emap = ExplosionMap(
         original_degrees=seq,
         truncated_degrees=truncated,

@@ -45,7 +45,11 @@ as follows:
 - Graph side. A tree test takes the sorted (root, endpoint, length) keys
   of every non-backtracking walk of length r + 1 or less from every root,
   from the walk enumerator in traversal; a key that repeats with a walk of
-  r steps or less marks a cycle, self-loop or multi-edge in the ball. A
+  r steps or less marks a cycle, self-loop or multi-edge in the ball. The
+  keys give each cyclic root the least radius at which its ball stops
+  being a tree, and the graph keeps those, so a census of the same graph
+  at a smaller radius enumerates only the roots within cap there but not
+  at the larger radius. A
   tree root's class then comes from r - 1 rounds of per-half-edge
   messages: a half-edge's class names the tree hanging from its far end,
   and each round ranks the classes of the far vertex's other half-edges,
@@ -56,7 +60,9 @@ as follows:
 - Branching-process side. Trees grow in batches, level by level: one
   generator call draws the root child counts of a batch, and one per depth
   the child counts of the nodes at that depth, for the trees still within
-  cap. A level's counts give each of its nodes a row of the next level's
+  cap. When the widest tree the laws allow is within cap, no tree is
+  counted: each depth draws the children of every node of the depth above.
+  A level's counts give each of its nodes a row of the next level's
   classes, so the levels are ranked from the deepest up, as drawn.
 
 Both sides give every tree the bytes canonical_code gives it, so the two
@@ -515,11 +521,12 @@ def empirical_ball_distribution(
     """Distribution of ball codes over all roots of g.
 
     A root whose ball is a tree of at most cap vertices gets its code from
-    message classes: traversal._tree_roots finds the tree balls, and r - 1
-    rounds give every half-edge the class of the tree hanging from its far
-    end, each round ranking the multiset of classes of the far vertex's
-    other half-edges. Every other root, cyclic or with more than cap walks
-    of length r or less, goes through canonical_ball. The codes equal
+    message classes: traversal._tree_roots finds the tree balls, reading the
+    cycle radii it cached on g at a radius of r or more, and r - 1 rounds
+    give every half-edge the class of the tree hanging from its far end,
+    each round ranking the multiset of classes of the far vertex's other
+    half-edges. Every other root, cyclic or with more than cap walks of
+    length r or less, goes through canonical_ball. The codes equal
     canonical_ball's for every root.
     """
     ids, codes = _ball_classes(g, r, cap)
@@ -582,13 +589,19 @@ def bp_ball_distribution(
     depth-d nodes of its trees still within cap, in (tree, parent, child)
     order; the law's Pmf.sample turns each uniform into a support value. A
     tree whose nodes within depth d pass cap is oversize and draws nothing
-    more. The levels of a batch are then ranked from depth r up.
+    more. When no tree can pass cap, as 1 + (largest root count) * (1 + M +
+    ... + M**(r - 1)) <= cap with M the largest child count, the trees are
+    not counted: each depth draws the children of every node above it,
+    which are the same draws. The levels of a batch are then ranked from
+    depth r up.
     """
     _check_ball(r, cap)
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got samples={samples}")
     root, child = spec.root_pmf, spec.shifted_pmf
     batch = _batch_trees(spec, r, cap)
+    # when the widest tree the laws allow is within cap, no tree is counted
+    fits = 1 + root.support[-1] * sum(child.support[-1] ** j for j in range(r)) <= cap
     counts: dict[bytes, int] = {}
     for done in range(0, samples, batch):
         size = min(batch, samples - done)
@@ -600,14 +613,15 @@ def bp_ball_distribution(
         nodes = np.ones(size, dtype=np.int64)  # within depth d, per tree
         width = np.ones(size, dtype=np.int64)  # depth-d nodes, per tree
         for _ in range(r):
-            # each tree's children: the counts of its width nodes, summed
-            ends = np.cumsum(np.concatenate(([0], levels[-1])))[np.cumsum(width)]
-            kids = np.diff(ends, prepend=0)
-            nodes += kids
-            over = nodes > cap
-            levels[-1][np.repeat(over, width)] = 0
-            width = np.where(over, 0, kids)
-            levels.append(child.sample(int(width.sum()), rng))
+            if not fits:
+                # each tree's children: the counts of its width nodes, summed
+                ends = np.cumsum(np.concatenate(([0], levels[-1])))[np.cumsum(width)]
+                kids = np.diff(ends, prepend=0)
+                nodes += kids
+                over = nodes > cap
+                levels[-1][np.repeat(over, width)] = 0
+                width = np.where(over, 0, kids)
+            levels.append(child.sample(int(levels[-1].sum()), rng))
         rows = []
         classes = levels.pop()
         while levels:

@@ -11,7 +11,8 @@ slots at the vertex it reached and steps over the half-edge it arrived by.
 boundary_counts reads distances off those keys, listing only the first r
 walks of length r from each root since its counts saturate at r, and
 _tree_roots reads cycles off them for the graph-side ball census
-(neighborhoods).
+(neighborhoods), caching on the graph each root's cycle radius for the
+censuses at smaller radii.
 
 pair_distance is a bidirectional breadth-first search over the flat Python
 adjacency lists cached on the graph, with a set of visited vertices per side;
@@ -130,23 +131,48 @@ def _walk_keys(
         lo = hi
 
 
+def _cycle_radii(g: HalfEdgeGraph, roots: np.ndarray, r: int, cost: np.ndarray):
+    """The roots, in increasing order, whose radius-r ball is not a tree, and
+    each one's cycle radius: the least radius at which its ball stops being a
+    tree. cost[i] counts the walks of length r + 1 or less from roots[i].
+
+    The radius-s ball holds a cycle, self-loop or multi-edge exactly when
+    the root's walk keys repeat a (root, endpoint) pair with walks of
+    lengths a <= b, a <= s and b <= s + 1. The keys of a pair are sorted by
+    length, so its first two give its least such s, max(a, b - 1).
+    """
+    vb = _vertex_bits(g.n)
+    # one byte a root while r + 1 fits in one
+    least = np.full(roots.size, r + 1, dtype=np.int8 if r < 127 else np.int64)
+    for lo, _, pair, length in _walk_keys(g, roots, r + 1, cost, _WALK_BUDGET):
+        twice = np.flatnonzero((pair[1:] == pair[:-1]) & (length[:-1] <= r))
+        np.minimum.at(least, lo + (pair[twice] >> vb), np.maximum(length[twice], length[twice + 1] - 1))
+    cyclic = np.flatnonzero(least <= r)
+    return roots[cyclic], least[cyclic]
+
+
 def _tree_roots(g: HalfEdgeGraph, r: int, cap: int) -> np.ndarray:
     """The roots, in increasing order, whose radius-r ball is a tree of at
     most cap vertices: as many as the root's walks of length r or less.
 
-    In a tree ball those walks reach distinct vertices and the walks of
-    length r + 1 leave the ball, so a root is cyclic exactly when its walk
-    keys of length r + 1 or less repeat a (root, endpoint) pair whose
-    shorter walk has length r or less.
+    One walk enumeration at radius r0 serves every radius up to r0: the
+    graph caches r0, the roots with more than cap walks at r0 and the cyclic
+    roots among the others with their cycle radius (_cycle_radii). A call at
+    r <= r0, under any cap, reads that cache and enumerates only the roots
+    within its cap at r that were over the cap at r0; a call at r > r0
+    enumerates every root within cap at r and caches that.
     """
     walks, step = _walk_counts(g, r)
-    small = np.flatnonzero(walks <= cap)
-    cyclic = np.zeros(small.size, dtype=bool)
-    vb = _vertex_bits(g.n)
-    for lo, _, pair, length in _walk_keys(g, small, r + 1, walks[small] + step[small], _WALK_BUDGET):
-        twice = (pair[1:] == pair[:-1]) & (length[:-1] <= r)
-        cyclic[lo + (pair[1:][twice] >> vb)] = True
-    return small[~cyclic]
+    small = walks <= cap
+    if g._cycles is None or g._cycles[0] < r:
+        roots = np.flatnonzero(small)
+        cyclic = _cycle_radii(g, roots, r, walks[roots] + step[roots])
+        g._cycles = (r, np.flatnonzero(~small), *cyclic)
+    _, big, cyclic, radius = g._cycles
+    fresh = big[small[big]]  # none when the cache was just made at r
+    small[cyclic[radius <= r]] = False
+    small[_cycle_radii(g, fresh, r, walks[fresh] + step[fresh])[0]] = False
+    return np.flatnonzero(small)
 
 
 def boundary_counts(g: HalfEdgeGraph, r: int) -> np.ndarray:

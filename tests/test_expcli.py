@@ -1,3 +1,4 @@
+import concurrent.futures
 import hashlib
 import json
 import os
@@ -305,6 +306,21 @@ def test_threads_do_not_change_output(tmp_path):
     for experiment in expcli.EXPERIMENTS:
         out = str(tmp_path / experiment)
         assert output_digests(experiment, out, threads=2) == OUTPUT_SHA256.get(experiment)
+
+
+def test_import_leaves_out_the_process_pool():
+    # a one-worker run needs none of what concurrent.futures.process loads
+    # (multiprocessing, socket, logging), so importing the CLI must not load it
+    src = os.path.dirname(os.path.dirname(cmgiant.__file__))
+    script = "import sys, cmgiant.expcli\nprint('concurrent.futures.process' in sys.modules)\n"
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.stdout.split() == ["False"], proc.stderr
 
 
 def test_p2_demo_manifest_has_no_offspring_spec(tmp_path):
@@ -708,7 +724,9 @@ def test_pool_never_has_more_workers_than_jobs(tmp_path, monkeypatch):
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(expcli, "ProcessPoolExecutor", InlinePool)
+    # run_experiment imports the pool class from concurrent.futures when it
+    # needs one, so the stand-in replaces it there
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     two, one = str(tmp_path / "two"), str(tmp_path / "one")
     assert main(["giant", "--n", "300", "--seeds", "0,1", "--out", two, "--threads", "10000"]) == 0
     assert sizes == [2]

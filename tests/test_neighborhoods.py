@@ -703,16 +703,21 @@ def test_census_matches_per_root_oracle(degrees, r, cap, budget, seed):
     # few vertices of degree up to 5 give cyclic roots (self-loops,
     # multi-edges, cycles) and tree roots past the cap; sparser graphs of up
     # to 60 vertices give tree balls of radius 2 and 3 below the cap; a small
-    # walk budget splits the tree test into many chunks of roots
+    # walk budget splits the tree test into many chunks of roots. One graph
+    # object is censused at r, then at every smaller radius, which reads the
+    # tree test cached at r and enumerates afresh the roots within the cap
+    # only there, then at r + 1, which replaces the cache, then at r under a
+    # larger cap, which enumerates the roots it newly admits
     g = pair_half_edges(DegreeSequence(np.array(degrees)), np.random.default_rng(seed))
     cs = component_decomposition(g)
-    with mock.patch.object(traversal, "_WALK_BUDGET", budget):
-        emp = empirical_ball_distribution(g, r, cap=cap)
-        split = restricted_ball_distribution(g, r, cs, cap=cap)
-    expected = ball_census(g, r, cap)
-    assert emp == expected
-    assert list(emp) == list(expected)
-    assert (split.giant, split.non_giant) == ball_census(g, r, cap, cs.labels)
+    for radius, c in [*((s, cap) for s in range(r, -1, -1)), (r + 1, cap), (r, cap + 7)]:
+        with mock.patch.object(traversal, "_WALK_BUDGET", budget):
+            emp = empirical_ball_distribution(g, radius, cap=c)
+            split = restricted_ball_distribution(g, radius, cs, cap=c)
+        expected = ball_census(g, radius, c)
+        assert emp == expected
+        assert list(emp) == list(expected)
+        assert (split.giant, split.non_giant) == ball_census(g, radius, c, cs.labels)
 
 
 @pytest.mark.parametrize("r", [1, 2, 3])
@@ -845,6 +850,16 @@ def test_bp_cap_yields_oversize():
     spec = build_offspring_spec(Pmf.from_dict({3: 1.0}))
     dist = bp_ball_distribution(spec, 6, 50, np.random.default_rng(9), cap=20)
     assert dist == {OVERSIZE_BALL: 1.0}
+    # every tree of this law has 1 + 3 (1 + 2 + ... + 2**(r-1)) nodes within
+    # depth r, the most any tree of it can have: at that cap every tree fits
+    # and the census counts none, one below it every tree is oversize
+    for r in range(4):
+        nodes = 1 + 3 * (2**r - 1)
+        fit = bp_ball_distribution(spec, r, 50, np.random.default_rng(9), cap=nodes)
+        assert len(fit) == 1 and OVERSIZE_BALL not in fit
+        if nodes > 1:
+            over = bp_ball_distribution(spec, r, 50, np.random.default_rng(9), cap=nodes - 1)
+            assert over == {OVERSIZE_BALL: 1.0}
 
 
 DENSE = {1: 0.4, 4: 0.3, 10: 0.3}
