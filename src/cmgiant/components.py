@@ -144,6 +144,15 @@ def sum_squares_ratio(cs: ComponentSummary, k: int, n: int) -> SumSquaresRatio:
     return SumSquaresRatio(all_clusters=total / nsq, large_only=large / nsq)
 
 
+def _cross_cluster_fraction(counts: np.ndarray, n: int) -> float:
+    """(S^2 - Q) / n^2 for per-cluster vertex counts with total S and sum of
+    squares Q: the fraction of ordered pairs of counted vertices that lie in
+    distinct clusters, over all n^2 ordered pairs."""
+    s = int(counts.sum())
+    q = int(np.sum(counts * counts))
+    return (s * s - q) / (n * n)
+
+
 def disconnected_pair_fraction(cs: ComponentSummary, k: int, n: int) -> float:
     """Fraction of ordered vertex pairs in distinct clusters of size >= k.
 
@@ -151,10 +160,7 @@ def disconnected_pair_fraction(cs: ComponentSummary, k: int, n: int) -> float:
     size at least k and Q their sum of squares, the ordered-pair count is
     S^2 - Q.
     """
-    sizes = cs.sizes[cs.sizes >= k]
-    s = int(sizes.sum())
-    q = int(np.sum(sizes * sizes))
-    return (s * s - q) / (n * n)
+    return _cross_cluster_fraction(cs.sizes[cs.sizes >= k], n)
 
 
 def boundary_pair_fraction(g: HalfEdgeGraph, cs: ComponentSummary, r: int) -> float:
@@ -170,7 +176,4 @@ def boundary_pair_fraction(g: HalfEdgeGraph, cs: ComponentSummary, r: int) -> fl
     bc = boundary_counts(g, r)
     passing = bc >= r
     counts = np.bincount(cs.labels[passing], minlength=cs.num_clusters).astype(np.int64)
-    s = int(counts.sum())
-    q = int(np.sum(counts * counts))
-    n = g.n
-    return (s * s - q) / (n * n)
+    return _cross_cluster_fraction(counts, g.n)

@@ -62,10 +62,6 @@ class HalfEdgeGraph:
     def half_edges(self, v: int) -> range:
         return range(int(self.offsets[v]), int(self.offsets[v + 1]))
 
-    def neighbors(self, v: int) -> np.ndarray:
-        """Neighbor multiset of v (self-loops appear twice)."""
-        return self.owner[self.mate[self.offsets[v]:self.offsets[v + 1]]]
-
     def validate(self) -> None:
         """Check the matching is a fixed-point-free involution on the labels,
         a slice of _VALIDATE_SLICE labels at a time to bound its temporary arrays."""

@@ -143,20 +143,6 @@ def theoretical_giant(spec: OffspringSpec) -> GiantLimits:
 EXACT_PROGENY_MAX_K = 30
 
 
-def _truncated_poly_power_sum(pmf: Pmf, h: np.ndarray, size: int) -> np.ndarray:
-    """Coefficients of sum_k p_k H(s)^k, truncated to polynomials of `size`."""
-    out = np.zeros(size)
-    power = np.zeros(size)
-    power[0] = 1.0
-    next_k = 0
-    for k, p in zip(pmf.support, pmf.probabilities):
-        while next_k < k:
-            power = np.convolve(power, h)[:size]
-            next_k += 1
-        out += p * power
-    return out
-
-
 def _lockstep(spec: OffspringSpec, rng: np.random.Generator, samples: int, k: int, r: int):
     """Total progeny and generation-r size of `samples` trees grown in lockstep.
 
@@ -202,9 +188,14 @@ def zeta_geq_k(
 ) -> float:
     """P(total progeny >= k) for the two-stage branching process.
 
-    exact mode builds the progeny distribution below k by iterating the
-    truncated polynomial equation H <- s * G(H); a forward tree with t < k
-    members has height below k, so k rounds make the low coefficients exact.
+    exact mode sums the cluster-size law below k by the hitting-time theorem
+    (Otter 1949; Dwass 1969): started from d forward individuals, the total
+    progeny is m with probability (d/m) P(S_m = m - d), where S_m sums m
+    independent forward child counts. So, with f the forward law's
+    generating function and p the root law,
+        P(|C(o)| = t) = sum_d p_d * d/(t-1) * [s^(t-1-d)] f(s)^(t-1),
+    and each t < k takes one more convolution by f, truncated below k. The
+    terms are nonnegative; the tail is 1 minus their sum.
     monte_carlo runs all `samples` trees in lockstep (`_lockstep` with r = 0):
     a tree leaves once its generation is empty or its total reaches k, so at
     most k multinomials are drawn.
@@ -220,16 +211,20 @@ def zeta_geq_k(
     if mode == "exact":
         if k > EXACT_PROGENY_MAX_K:
             raise ValueError(f"exact mode supports k <= {EXACT_PROGENY_MAX_K}")
-        if k == 1:
-            return 1.0
-        size = k  # coefficients for totals 0 .. k-1
-        h = np.zeros(size)
-        for _ in range(k):
-            g_of_h = _truncated_poly_power_sum(spec.shifted_pmf, h, size)
-            h = np.concatenate([[0.0], g_of_h[: size - 1]])  # multiply by s
-        root_poly = _truncated_poly_power_sum(spec.root_pmf, h, size)
-        total = np.concatenate([[0.0], root_poly[: size - 1]])
-        return float(1.0 - total.sum())
+        support, probs, _ = spec.shifted_pmf.arrays
+        below = support < k
+        forward = np.zeros(k)
+        forward[support[below]] = probs[below]
+        root = list(zip(spec.root_pmf.support, spec.root_pmf.probabilities))
+        # law[t] = P(|C(o)| = t); t = 0 and t = 1 stay 0, as the root has a
+        # child. The pinned tails were summed over this whole array: a shorter
+        # one changes numpy's pairwise summation order and the last bit.
+        law = np.zeros(k)
+        power = np.ones(1)  # f(s)^(t-1), truncated below k
+        for t in range(2, k):
+            power = np.convolve(power, forward)[:k]
+            law[t] = sum(p * d / (t - 1) * power[t - 1 - d] for d, p in root if d < t)
+        return float(1.0 - law.sum())
     if mode == "monte_carlo":
         if rng is None:
             raise ValueError("monte_carlo mode needs an rng")

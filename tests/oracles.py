@@ -160,6 +160,29 @@ def offspring_generations_loop(spec, b0: int, generations: int, rng, cap=None):
     return tuple(sizes), total, truncated
 
 
+def progeny_law_enumerated(spec, max_size: int) -> list[float]:
+    """P(T = t) for t = 0..max_size, T the total progeny of the two-stage
+    tree, summed over every breadth-first child-count sequence of a tree
+    with at most max_size members: the root's count from the degree law,
+    then one forward count per member in breadth-first order until every
+    member has drawn."""
+    forward = list(zip(spec.shifted_pmf.support, spec.shifted_pmf.probabilities))
+    law = [0.0] * (max_size + 1)
+
+    def grow(members, drawn, prob):
+        if drawn == members:
+            law[members] += prob
+            return
+        for c, p in forward:
+            if members + c <= max_size:
+                grow(members + c, drawn + 1, prob * p)
+
+    for c, p in zip(spec.root_pmf.support, spec.root_pmf.probabilities):
+        if 1 + c <= max_size:
+            grow(1 + c, 1, p)
+    return law
+
+
 def tree_code(children: list[list[int]], stubs) -> bytes:
     """AHU string of the stub-labelled tree rooted at 0.
 

@@ -20,7 +20,7 @@ from cmgiant.local_limit import (
     EXACT_PROGENY_MAX_K,
     simulate_offspring_generations,
 )
-from oracles import offspring_generations_loop, unimodular_bp_loop
+from oracles import offspring_generations_loop, progeny_law_enumerated, unimodular_bp_loop
 from strategies import pmf_dicts, pmfs
 
 
@@ -161,6 +161,37 @@ def test_progeny_tail_argument_errors():
         zeta_geq_k(spec, 5, mode="monte_carlo")
     with pytest.raises(ValueError):
         zeta_geq_k(spec, 5, mode="bogus")
+
+
+@given(pmf_dicts())
+def test_exact_progeny_tail_matches_the_enumeration_oracle(masses):
+    spec = spec_of(masses)
+    law = progeny_law_enumerated(spec, 6)
+    for k in range(1, 8):
+        assert zeta_geq_k(spec, k) == pytest.approx(1.0 - sum(law[:k]), abs=1e-12)
+
+
+def _power_law(tau, kmax):
+    weights = {k: k**-tau for k in range(1, kmax + 1)}
+    total = sum(weights.values())
+    return {k: w / total for k, w in weights.items()}
+
+
+# exact-mode tails at k = 2, 5, 17, 30, recorded from the truncated
+# composition H <- s G(H) that exact mode ran before the hitting-time sum;
+# the two agree in every bit for k = 1..30 on these laws
+@pytest.mark.parametrize(
+    "masses, bits",
+    [
+        ({1: 0.5, 3: 0.5}, ["0x1.0000000000000p+0", "0x1.b000000000000p-1", "0x1.a1ebde8000000p-1", "0x1.a140f82a01df4p-1"]),
+        ({1: 0.4, 4: 0.3, 10: 0.3}, ["0x1.0000000000000p+0", "0x1.ee30f9525d7eep-1", "0x1.ee25a946dbd14p-1", "0x1.ee25a946dad7ap-1"]),
+        (_power_law(2.5, 1000), ["0x1.0000000000000p+0", "0x1.3f73dfd5fa807p-1", "0x1.32b606192a4dcp-1", "0x1.32a048fe001cap-1"]),
+    ],
+    ids=["1-3", "1-4-10", "tau-2.5"],
+)
+def test_exact_progeny_tail_bits_are_pinned(masses, bits):
+    spec = spec_of(masses)
+    assert [zeta_geq_k(spec, k).hex() for k in (2, 5, 17, 30)] == bits
 
 
 def test_bp_all_degree_one_run():

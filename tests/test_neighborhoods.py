@@ -590,7 +590,7 @@ def ball_from_edge_list(g, v, r, cap):
     order = [v]
     for u in order:
         if dist[u] < r:
-            for w in g.neighbors(u).tolist():
+            for w in g.owner[g.mate[g.offsets[u]:g.offsets[u + 1]]].tolist():
                 if w not in dist:
                     dist[w] = dist[u] + 1
                     order.append(w)
