@@ -50,7 +50,6 @@ from .local_limit import (
     zeta_geq_k,
 )
 from .neighborhoods import (
-    CanonicalBall,
     RootedBall,
     bp_ball_distribution,
     canonical_ball,
@@ -62,7 +61,6 @@ from .neighborhoods import (
 
 __all__ = [
     "__version__",
-    "CanonicalBall",
     "ComponentSummary",
     "CouplingTrace",
     "DegenerateDegreeTwoError",

@@ -168,7 +168,7 @@ def sample_iid_degrees(dist: Pmf, n: int, rng: np.random.Generator) -> DegreeSeq
     """
     if n < 1:
         raise ValueError("need at least one vertex")
-    if dist.min_value() < 1 or dist.mass(0) > 0:
+    if dist.min_value() < 1:
         raise ValueError("degree distribution must not put mass at 0")
     draws = dist.sample(n, rng)
     if int(draws.sum()) % 2 != 0:

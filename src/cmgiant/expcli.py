@@ -246,12 +246,6 @@ def _truncation(job: Job) -> dict:
     cfg, seq = job.cfg, job.degrees
     emap = truncate_explode(seq, cfg.b)
     g, gp = coupled_pairing(emap, derive_rng(job.seed, STREAM_PAIRING))
-    truncated = emap.truncated_degrees.degrees
-    cap_ok = bool(
-        np.all(truncated[: seq.n] == np.minimum(seq.degrees, cfg.b))
-        and np.all(truncated[seq.n :] == 1)
-    )
-    total_ok = int(truncated.sum()) == seq.total_degree
     cs = component_decomposition(g)
     csp = component_decomposition(gp)
     rng = derive_rng(job.seed, STREAM_ANALYSIS)
@@ -260,13 +254,8 @@ def _truncation(job: Job) -> dict:
     violations = int(
         np.sum((csp.labels[u] == csp.labels[v]) & (cs.labels[u] != cs.labels[v]))
     )
-    for ok, message in (
-        (cap_ok, "truncated degrees must be min(d, b) plus degree-1 spawns"),
-        (total_ok, "truncation must preserve the total degree"),
-        (violations == 0, "connectivity in the truncated graph must imply it originally"),
-    ):
-        if not ok:
-            raise InvariantError(message)
+    if violations:
+        raise InvariantError("connectivity in the truncated graph must imply it originally")
     return {
         "n_exploded": emap.exploded_n - emap.original_n,
         "connectivity_violations": violations,

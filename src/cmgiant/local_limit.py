@@ -86,7 +86,7 @@ def build_offspring_spec(root: Pmf) -> OffspringSpec:
         ValueError: if the root law puts mass at 0.
         DegenerateDegreeTwoError: for the all-degree-2 root law.
     """
-    if root.min_value() < 1 or root.mass(0) > 0:
+    if root.min_value() < 1:
         raise ValueError("root law must be supported on {1, 2, ...}")
     if root.support == (2,) or root.mass(2) == 1.0:
         raise DegenerateDegreeTwoError(

@@ -22,11 +22,11 @@ residual color classes give the core a canonical order, and the code is "G"
 plus the core serialized in that order with every vertex's stubs and folded
 color.
 
-A ball gets the oversize code when extraction hits the ball vertex cap,
-or when refinement leaves a class of more than CLASS_CAP interchangeable
-core vertices (individualization is factorial in its size). Classes of
-pendant vertices never count toward CLASS_CAP, so trees, including stars of
-any width, always get an exact code.
+A ball gets the oversize code, OVERSIZE_BALL, when extraction hits the ball
+vertex cap, or when refinement leaves a class of more than CLASS_CAP
+interchangeable core vertices (individualization is factorial in its
+size). Classes of pendant vertices never count toward CLASS_CAP, so trees,
+including stars of any width, always get an exact code.
 
 The two censuses rank whole levels of trees at once with AHU's level step,
 on arrays, and build the AHU string once per class a tree reaches, from the
@@ -66,7 +66,8 @@ as follows:
   classes, so the levels are ranked from the deepest up, as drawn.
 
 Both sides give every tree the bytes canonical_code gives it, so the two
-sides of a comparison share one code space.
+sides of a comparison share one code space. A code is a plain bytes value,
+and a ball distribution maps codes to masses.
 """
 from __future__ import annotations
 
@@ -83,7 +84,7 @@ from .traversal import _check_radius, _ragged, _tree_roots
 
 DEFAULT_BALL_CAP = 1000
 CLASS_CAP = 8
-_OVERSIZE = b"!oversize"
+OVERSIZE_BALL = b"!oversize"
 # The censuses work in pieces of a few 1e4 array entries: the allocator keeps
 # the heap of the largest piece, which is what peak RSS then measures.
 _BATCH_NODES = 1 << 15  # tree nodes a branching-process batch holds, about
@@ -105,20 +106,6 @@ class RootedBall:
     stubs: tuple[int, ...]
     radius: int
     boundary_size: int
-
-
-@dataclass(frozen=True)
-class CanonicalBall:
-    """Byte code naming a rooted isomorphism class; hashable and comparable."""
-
-    code: bytes
-
-    @property
-    def oversize(self) -> bool:
-        return self.code == _OVERSIZE
-
-
-OVERSIZE_BALL = CanonicalBall(_OVERSIZE)
 
 
 def _ball_structure(ball: RootedBall):
@@ -202,8 +189,9 @@ def _canon_search(
     return best
 
 
-def canonical_code(ball: RootedBall) -> CanonicalBall:
-    """Canonical byte code of a rooted ball; oversize past CLASS_CAP in the core."""
+def canonical_code(ball: RootedBall) -> bytes:
+    """Canonical code of a rooted ball: bytes that start with b"T" for a tree
+    and b"G" otherwise, or OVERSIZE_BALL past CLASS_CAP in the core."""
     nbr, loops, dist = _ball_structure(ball)
     stubs = ball.stubs
     degree = [sum(m.values()) + 2 * loops[u] for u, m in enumerate(nbr)]
@@ -219,7 +207,7 @@ def canonical_code(ball: RootedBall) -> CanonicalBall:
         if degree[p] == 1 and p != 0:
             pendant.append(p)
     if not degree[0]:
-        return CanonicalBall(b"T" + _ahu(stubs[0], hanging[0]))
+        return b"T" + _ahu(stubs[0], hanging[0])
 
     # the core: the root and every vertex that was not stripped
     core = [v for v, d in enumerate(degree) if d]
@@ -245,7 +233,7 @@ def canonical_code(ball: RootedBall) -> CanonicalBall:
     code = _canon_search(_dense_ranks(seeds), core_nbr, serialize)
     if code is None:
         return OVERSIZE_BALL
-    return CanonicalBall(b"G" + code)
+    return b"G" + code
 
 
 def _check_ball(r: int, cap: int) -> None:
@@ -309,11 +297,12 @@ def extract_ball(
 
 def canonical_ball(
     g: HalfEdgeGraph, v: int, r: int, cap: int = DEFAULT_BALL_CAP
-) -> tuple[RootedBall, CanonicalBall]:
-    """Extract and encode the radius-r ball of v.
+) -> tuple[RootedBall, bytes]:
+    """Extract and encode the radius-r ball of v: the ball and its
+    canonical_code bytes.
 
     Balls that would exceed cap vertices come back truncated with the
-    distinguished oversize code.
+    distinguished oversize code, OVERSIZE_BALL.
     """
     ball, overflow = extract_ball(g, v, r, cap)
     if overflow:
@@ -321,7 +310,7 @@ def canonical_ball(
     return ball, canonical_code(ball)
 
 
-BallDistribution = dict[CanonicalBall, float]
+BallDistribution = dict[bytes, float]
 
 
 def _rank_rows(vals: np.ndarray, base, length, skip=None) -> tuple[np.ndarray, np.ndarray]:
@@ -507,7 +496,7 @@ def _ball_classes(g: HalfEdgeGraph, r: int, cap: int) -> tuple[np.ndarray, list[
     rest = np.ones(n, dtype=bool)
     rest[tree] = False
     for v in np.flatnonzero(rest).tolist():
-        code = canonical_ball(g, v, r, cap)[1].code
+        code = canonical_ball(g, v, r, cap)[1]
         if code not in index:
             index[code] = len(codes)
             codes.append(code)
@@ -530,7 +519,7 @@ def empirical_ball_distribution(
     canonical_ball's for every root.
     """
     ids, codes = _ball_classes(g, r, cap)
-    return {CanonicalBall(code): c / g.n for code, c in _tally({}, ids, codes).items()}
+    return {code: c / g.n for code, c in _tally({}, ids, codes).items()}
 
 
 @dataclass(frozen=True)
@@ -557,8 +546,8 @@ def restricted_ball_distribution(
     inside = cs.labels == 0
     giant, other = _tally({}, ids[inside], codes), _tally({}, ids[~inside], codes)
     return RestrictedBallDistribution(
-        giant={CanonicalBall(code): c / g.n for code, c in giant.items()},
-        non_giant={CanonicalBall(code): c / g.n for code, c in other.items()},
+        giant={code: c / g.n for code, c in giant.items()},
+        non_giant={code: c / g.n for code, c in other.items()},
     )
 
 
@@ -631,8 +620,8 @@ def bp_ball_distribution(
         fit_ids, codes = _encode(rows, classes[fit])
         ids = np.full(size, len(codes))
         ids[fit] = fit_ids
-        _tally(counts, ids, codes + [_OVERSIZE])
-    return {CanonicalBall(code): c / samples for code, c in counts.items()}
+        _tally(counts, ids, codes + [OVERSIZE_BALL])
+    return {code: c / samples for code, c in counts.items()}
 
 
 def tv_distance(a: BallDistribution, b: BallDistribution) -> float:

@@ -5,7 +5,7 @@ from collections import deque
 import numpy as np
 
 from cmgiant import canonical_ball
-from cmgiant.neighborhoods import OVERSIZE_BALL, CanonicalBall
+from cmgiant.neighborhoods import OVERSIZE_BALL
 
 
 def edge_iter(g):
@@ -246,9 +246,9 @@ def bp_ball_census(spec, r: int, samples: int, rng, cap: int, batch: int):
                     stubs[u] = 0
                 level[:] = new
         for children, stubs, _ in trees:
-            code = b"T" + tree_code(children, stubs) if stubs else OVERSIZE_BALL.code
+            code = b"T" + tree_code(children, stubs) if stubs else OVERSIZE_BALL
             counts[code] = counts.get(code, 0) + 1
-    return {CanonicalBall(code): c / samples for code, c in counts.items()}
+    return {code: c / samples for code, c in counts.items()}
 
 
 def rows_reference(vals, base, length, skip=None) -> np.ndarray:

@@ -1,13 +1,18 @@
 import concurrent.futures
+import contextlib
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import cmgiant
 from cmgiant import DegreeSequence, __version__, expcli
@@ -19,6 +24,7 @@ from cmgiant.expcli import (
     main,
     run_experiment,
 )
+from strategies import degree_lists, pmf_dicts
 
 
 def cfg_dict(**overrides):
@@ -791,6 +797,95 @@ def test_main_malformed_override_exits_two(tmp_path, capsys):
     assert main(["giant", "--n", "abc", "--out", out]) == 2
     assert main(["giant", "--seeds", "1,x", "--out", out]) == 2
     assert "--n/--seeds" in capsys.readouterr().err
+
+
+# Malformed field values: magnitudes stay small, since a huge valid value (a
+# size or a pair count of 1e10) is a request for memory, not a bad field.
+# Strings use an alphabet without path separators, so an out_dir stays inside
+# the working directory.
+SHORT_TEXT = st.text(alphabet="ab19._-", max_size=4)
+JUNK = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-3, 9)
+    | st.floats(-9, 9)
+    | st.sampled_from([math.nan, math.inf, -math.inf])
+    | SHORT_TEXT,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.integers(-1, 9).map(str) | SHORT_TEXT, inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def small_lists(low, high):
+    return st.lists(st.integers(low, high), min_size=1, max_size=2, unique=True)
+
+
+# well-formed values of every config key but sequence_path, within n <= 60,
+# pairs <= 5 and bp_samples <= 50
+VALID = {
+    "experiment": st.sampled_from(expcli.EXPERIMENTS),
+    "pmf": pmf_dicts(allow_degenerate=True).map(lambda law: {str(k): p for k, p in law.items()}),
+    "n": small_lists(1, 60),
+    "seeds": st.integers(1, 2) | small_lists(0, 5),
+    "k": small_lists(1, 60),
+    "r": small_lists(1, 3),
+    "b": st.integers(1, 5),
+    "m_exponent": st.floats(0, 1, exclude_min=True),
+    "pairs": st.integers(1, 5),
+    "bp_samples": st.integers(1, 50),
+    "out_dir": st.text(alphabet="ab1_", min_size=1, max_size=4),
+}
+# left out, these keys default to a long run: n = [10000], 5 seeds, 1000
+# pairs and 100000 branching-process samples
+ALWAYS_SET = {"n", "seeds", "pairs", "bp_samples"}
+
+
+def spoiled(value):
+    """value with one list entry or one dict value replaced by a malformed
+    one; other values are replaced whole."""
+    if isinstance(value, list) and value:
+        return st.builds(lambda i, x: value[:i] + [x] + value[i + 1 :], st.integers(0, len(value) - 1), JUNK)
+    if isinstance(value, dict) and value:
+        return st.builds(lambda k, x: {**value, k: x}, st.sampled_from(sorted(value)), JUNK)
+    return JUNK
+
+
+@st.composite
+def fuzz_configs(draw, sequence_path):
+    """Well-formed values for some keys; then up to two keys, the unknown
+    "tipo" among them, take a malformed value, or a well-formed one with a
+    malformed entry. Parsing stops at the first bad field, so one or two bad
+    keys reach every field's check."""
+    every = dict(VALID, sequence_path=st.just(sequence_path), tipo=JUNK)
+    # the degree law comes from pmf or from sequence_path, not both
+    skip = {"tipo", draw(st.sampled_from(["pmf", "sequence_path"]))}
+    config = {
+        key: draw(value)
+        for key, value in every.items()
+        if key not in skip and (key in ALWAYS_SET or draw(st.booleans()))
+    }
+    for key in draw(st.sets(st.sampled_from(sorted(every)), max_size=2)):
+        config[key] = draw(JUNK | every[key].flatmap(spoiled))
+    return config
+
+
+@given(st.data())
+def test_main_config_fuzz_exits_cleanly(tmp_path_factory, data):
+    # every experiment, on well-formed and malformed configs, exits with 0,
+    # 1 or 2 and raises nothing
+    root = tmp_path_factory.mktemp("fuzz")
+    sequence_path = root / "degrees.txt"
+    DegreeSequence(np.array(data.draw(degree_lists()))).save(sequence_path)
+    experiment = data.draw(st.sampled_from(expcli.EXPERIMENTS))
+    config = data.draw(fuzz_configs(str(sequence_path)))
+    config_path = root / "cfg.json"
+    config_path.write_text(json.dumps(config))
+    work = root / "work" / "here"  # an out_dir of ".." stays under root
+    work.mkdir(parents=True)
+    with contextlib.chdir(work), mock.patch.dict(os.environ):
+        os.environ.pop(expcli.OUT_DIR_ENV, None)
+        assert main([experiment, "--config", str(config_path)]) in (0, 1, 2)
 
 
 def test_integral_floats_parse_as_integers():
