@@ -232,7 +232,7 @@ class ReuseBounds:
     vertex: float
 
 
-def reuse_bounds(n: int, ell_n: int, d_max: int, m_n: int) -> ReuseBounds:
+def reuse_bounds(ell_n: int, d_max: int, m_n: int) -> ReuseBounds:
     """Expected-count bounds for runs stopped at m_n discovered vertices.
 
     Both bounds are the crude union style: at most m_n steps matter per
@@ -242,8 +242,8 @@ def reuse_bounds(n: int, ell_n: int, d_max: int, m_n: int) -> ReuseBounds:
     """
     if ell_n <= 0:
         raise ValueError("need a positive number of half-edges")
-    if n <= 0 or d_max < 0 or m_n < 0:
-        raise ValueError("counts must be nonnegative (n positive)")
+    if d_max < 0 or m_n < 0:
+        raise ValueError("counts must be nonnegative")
     return ReuseBounds(
         half_edge=m_n * m_n / ell_n,
         vertex=m_n * m_n * d_max / ell_n,

@@ -286,7 +286,7 @@ def _giant_deg1_theory(cfg: ExperimentConfig, n: int) -> dict[str, float]:
 
 def _coupling_theory(cfg: ExperimentConfig, n: int) -> dict[str, float]:
     root = cfg.spec.root_pmf
-    bounds = reuse_bounds(n, n * root.mean(), max(root.support), _m_n(cfg, n))
+    bounds = reuse_bounds(n * root.mean(), max(root.support), _m_n(cfg, n))
     return {"theory_he_bound": bounds.half_edge, "theory_vertex_bound": bounds.vertex}
 
 
@@ -553,7 +553,8 @@ def _write_summary(path: str, cfg: ExperimentConfig, rows: list[tuple[int, int, 
         for name in rows[0][2]
         if not name.startswith("_") and isinstance(rows[0][2][name], (int, float))
     )
-    theory_names = sorted(_theory(cfg, cfg.sizes[0]))
+    theories = {n: _theory(cfg, n) for n in by_n}
+    theory_names = sorted(theories[cfg.sizes[0]])
     header = ["n", "seeds"]
     for name in metric_names:
         header += [f"{name}_mean", f"{name}_std"]
@@ -573,8 +574,7 @@ def _write_summary(path: str, cfg: ExperimentConfig, rows: list[tuple[int, int, 
                 mean = float(values.mean())
                 std = float(values.std(ddof=1)) if len(values) > 1 else 0.0
                 row += [repr(mean), repr(std)]
-            theory = _theory(cfg, n)
-            row += [str(theory[name]) for name in theory_names]
+            row += [str(theories[n][name]) for name in theory_names]
             writer.writerow(row)
 
 

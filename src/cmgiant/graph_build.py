@@ -34,8 +34,8 @@ class HalfEdgeGraph:
         degrees = np.diff(self.offsets)
         self.owner = np.repeat(np.arange(self.n, dtype=np.int64), degrees)
         self._adjacency: tuple[list[int], list[int]] | None = None
-        # (r0, roots over the cap at r0, cyclic roots, their cycle radii),
-        # cached by traversal._tree_roots for every radius up to r0
+        # (r0, cyclic roots, their cycle radii) from a tree test of every
+        # root, cached by traversal._tree_roots for every radius up to r0
         self._cycles: tuple | None = None
 
     @classmethod

@@ -43,13 +43,12 @@ ranks the rows of each length as one matrix. The two sides feed the kernel
 as follows:
 
 - Graph side. A tree test takes the sorted (root, endpoint, length) keys
-  of every non-backtracking walk of length r + 1 or less from every root,
-  from the walk enumerator in traversal; a key that repeats with a walk of
-  r steps or less marks a cycle, self-loop or multi-edge in the ball. The
-  keys give each cyclic root the least radius at which its ball stops
-  being a tree, and the graph keeps those, so a census of the same graph
-  at a smaller radius enumerates only the roots within cap there but not
-  at the larger radius. A
+  of every non-backtracking walk of length r + 1 or less from each root
+  within cap, from the walk enumerator in traversal; a key that repeats
+  with a walk of r steps or less marks a cycle, self-loop or multi-edge in
+  the ball. The keys give each cyclic root the least radius at which its
+  ball stops being a tree. When every root was within cap, the graph keeps
+  those, and a census of it at a smaller radius enumerates nothing. A
   tree root's class then comes from r - 1 rounds of per-half-edge
   messages: a half-edge's class names the tree hanging from its far end,
   and each round ranks the classes of the far vertex's other half-edges,
@@ -510,13 +509,13 @@ def empirical_ball_distribution(
     """Distribution of ball codes over all roots of g.
 
     A root whose ball is a tree of at most cap vertices gets its code from
-    message classes: traversal._tree_roots finds the tree balls, reading the
-    cycle radii it cached on g at a radius of r or more, and r - 1 rounds
-    give every half-edge the class of the tree hanging from its far end,
-    each round ranking the multiset of classes of the far vertex's other
-    half-edges. Every other root, cyclic or with more than cap walks of
-    length r or less, goes through canonical_ball. The codes equal
-    canonical_ball's for every root.
+    message classes: traversal._tree_roots finds the tree balls, reading
+    the cycle radii cached on g by a test of every root at radius r or more
+    if there is one, and r - 1 rounds give every half-edge the class of the
+    tree hanging from its far end, each round ranking the multiset of
+    classes of the far vertex's other half-edges. Every other root, cyclic
+    or with more than cap walks of length r or less, goes through
+    canonical_ball. The codes equal canonical_ball's for every root.
     """
     ids, codes = _ball_classes(g, r, cap)
     return {code: c / g.n for code, c in _tally({}, ids, codes).items()}

@@ -11,8 +11,8 @@ slots at the vertex it reached and steps over the half-edge it arrived by.
 boundary_counts reads distances off those keys, listing only the first r
 walks of length r from each root since its counts saturate at r, and
 _tree_roots reads cycles off them for the graph-side ball census
-(neighborhoods), caching on the graph each root's cycle radius for the
-censuses at smaller radii.
+(neighborhoods); when they cover every root, the graph caches each
+cyclic root's cycle radius for the censuses at smaller radii.
 
 pair_distance is a bidirectional breadth-first search over the flat Python
 adjacency lists cached on the graph, with a set of visited vertices per side;
@@ -155,23 +155,22 @@ def _tree_roots(g: HalfEdgeGraph, r: int, cap: int) -> np.ndarray:
     """The roots, in increasing order, whose radius-r ball is a tree of at
     most cap vertices: as many as the root's walks of length r or less.
 
-    One walk enumeration at radius r0 serves every radius up to r0: the
-    graph caches r0, the roots with more than cap walks at r0 and the cyclic
-    roots among the others with their cycle radius (_cycle_radii). A call at
-    r <= r0, under any cap, reads that cache and enumerates only the roots
-    within its cap at r that were over the cap at r0; a call at r > r0
-    enumerates every root within cap at r and caches that.
+    A tree test at radius r0 that covered every root, each within the cap
+    at r0, serves every radius up to r0 under any cap: the graph caches r0
+    and the cyclic roots with their cycle radius (_cycle_radii). A call
+    that no such test serves tests the roots within its cap at r and
+    caches that test only when it covered every root.
     """
     walks, step = _walk_counts(g, r)
     small = walks <= cap
-    if g._cycles is None or g._cycles[0] < r:
+    if g._cycles is not None and g._cycles[0] >= r:
+        _, cyclic, radius = g._cycles
+    else:
         roots = np.flatnonzero(small)
-        cyclic = _cycle_radii(g, roots, r, walks[roots] + step[roots])
-        g._cycles = (r, np.flatnonzero(~small), *cyclic)
-    _, big, cyclic, radius = g._cycles
-    fresh = big[small[big]]  # none when the cache was just made at r
+        cyclic, radius = _cycle_radii(g, roots, r, walks[roots] + step[roots])
+        if roots.size == g.n:
+            g._cycles = (r, cyclic, radius)
     small[cyclic[radius <= r]] = False
-    small[_cycle_radii(g, fresh, r, walks[fresh] + step[fresh])[0]] = False
     return np.flatnonzero(small)
 
 

@@ -220,7 +220,7 @@ def test_criterion_07_exploration_reuse_bounds():
         reuses_he.append(trace.half_edge_reuses)
         reuses_v.append(trace.vertex_reuses)
         clean += trace.first_divergence is None
-        b = reuse_bounds(seq.n, seq.total_degree, seq.max_degree, m)
+        b = reuse_bounds(seq.total_degree, seq.max_degree, m)
         bounds_he.append(b.half_edge)
         bounds_v.append(b.vertex)
     he_mean, he_bound = float(np.mean(reuses_he)), float(np.mean(bounds_he))

@@ -117,33 +117,29 @@ def test_bp_children_follow_size_biased_shifted_law(mixture_seq):
 
 
 def test_reuse_bounds_examples():
-    b = reuse_bounds(100, 200, 10, 10)
+    b = reuse_bounds(200, 10, 10)
     assert b.half_edge == pytest.approx(0.5)
     assert b.vertex == pytest.approx(5.0)
-    b = reuse_bounds(500000, 10**6, 10, 100)
+    b = reuse_bounds(10**6, 10, 100)
     assert b.half_edge == pytest.approx(0.01)
     assert b.vertex == pytest.approx(0.1)
-    b = reuse_bounds(10, 20, 3, 0)
+    b = reuse_bounds(20, 3, 0)
     assert b.half_edge == 0.0
     assert b.vertex == 0.0
 
 
 def test_reuse_bounds_validation():
     with pytest.raises(ValueError):
-        reuse_bounds(10, 0, 3, 5)
+        reuse_bounds(0, 3, 5)
     with pytest.raises(ValueError):
-        reuse_bounds(0, 20, 3, 5)
+        reuse_bounds(20, -1, 5)
     with pytest.raises(ValueError):
-        reuse_bounds(10, 20, -1, 5)
-    with pytest.raises(ValueError):
-        reuse_bounds(10, 20, 3, -1)
+        reuse_bounds(20, 3, -1)
 
 
 def test_mean_reuses_within_first_moment_bounds(mixture_seq):
     m = 100
-    bounds = reuse_bounds(
-        mixture_seq.n, mixture_seq.total_degree, mixture_seq.max_degree, m
-    )
+    bounds = reuse_bounds(mixture_seq.total_degree, mixture_seq.max_degree, m)
     he = []
     vr = []
     for seed in range(300):
@@ -158,9 +154,7 @@ def test_mean_reuses_within_first_moment_bounds(mixture_seq):
 
 def test_divergence_free_fraction(mixture_seq):
     m = 20
-    bounds = reuse_bounds(
-        mixture_seq.n, mixture_seq.total_degree, mixture_seq.max_degree, m
-    )
+    bounds = reuse_bounds(mixture_seq.total_degree, mixture_seq.max_degree, m)
     free = 0
     runs = 300
     for seed in range(runs):

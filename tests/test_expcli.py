@@ -585,6 +585,16 @@ def test_summary_averages_the_seeds_with_finite_values(tmp_path):
     assert summary["finite_fraction_mean"] == "0.5"
 
 
+def test_summary_runs_the_theory_once_per_size(tmp_path):
+    # one call per n: the header takes its theory names from the first dict
+    entry = expcli.REGISTRY["giant"]
+    spy = mock.Mock(wraps=entry.theory)
+    cfg = config_from_dict(cfg_dict(n=[500, 300], seeds=[0], out_dir=str(tmp_path / "out")))
+    with mock.patch.dict(expcli.REGISTRY, giant=replace(entry, theory=spy)):
+        assert run_experiment(cfg) == 0
+    assert sorted(call.args[1] for call in spy.call_args_list) == [300, 500]
+
+
 def test_main_runs_and_prints_summary_path(tmp_path, capsys):
     out = str(tmp_path / "cli_out")
     code = main(["giant", "--n", "400", "--seeds", "2", "--out", out])

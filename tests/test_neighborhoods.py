@@ -703,9 +703,9 @@ def test_census_matches_per_root_oracle(degrees, r, cap, budget, seed):
     # to 60 vertices give tree balls of radius 2 and 3 below the cap; a small
     # walk budget splits the tree test into many chunks of roots. One graph
     # object is censused at r, then at every smaller radius, which reads the
-    # tree test cached at r and enumerates afresh the roots within the cap
-    # only there, then at r + 1, which replaces the cache, then at r under a
-    # larger cap, which enumerates the roots it newly admits
+    # tree test cached at r when that test covered every root and tests the
+    # roots within the cap again otherwise, then at r + 1, which replaces
+    # the cache when it covers every root, then at r under a larger cap
     g = pair_half_edges(DegreeSequence(np.array(degrees)), np.random.default_rng(seed))
     cs = component_decomposition(g)
     for radius, c in [*((s, cap) for s in range(r, -1, -1)), (r + 1, cap), (r, cap + 7)]:
@@ -726,11 +726,37 @@ def test_census_matches_per_root_oracle_on_a_sparse_graph(mixture_pmf, r):
     assert empirical_ball_distribution(g, r) == ball_census(g, r, DEFAULT_BALL_CAP)
 
 
+def test_smaller_radii_read_the_tree_test_of_every_root(mixture_pmf):
+    # on {1, 3} every root has at most 10 walks of length 2 or less, so the
+    # tree test at r=2 covers every root and serves r=1 and r=0 under any cap
+    rng = np.random.default_rng(11)
+    g = pair_half_edges(sample_iid_degrees(mixture_pmf, 3000, rng), rng)
+    empirical_ball_distribution(g, 2)
+    censuses = []
+    with mock.patch.object(traversal, "_walk_keys", wraps=traversal._walk_keys) as walk_keys:
+        for r, cap in [(1, DEFAULT_BALL_CAP), (0, DEFAULT_BALL_CAP), (1, 3)]:
+            censuses.append((r, cap, empirical_ball_distribution(g, r, cap=cap)))
+    assert not walk_keys.called
+    for r, cap, emp in censuses:
+        assert emp == ball_census(g, r, cap)
+
+
 def hub_graph() -> HalfEdgeGraph:
     """A degree-40 hub among 300 vertices of degree 1 or 3."""
     rng = np.random.default_rng(1)
     degrees = np.concatenate(([40], rng.choice([1, 3], 300)))  # an even sum
     return pair_half_edges(DegreeSequence(degrees), rng)
+
+
+def test_smaller_radius_tests_again_after_a_root_over_the_cap():
+    # under cap 30 the hub is over the cap at r=2, so that tree test caches
+    # nothing and the census at r=1 enumerates its own roots
+    g = hub_graph()
+    empirical_ball_distribution(g, 2, cap=30)
+    with mock.patch.object(traversal, "_walk_keys", wraps=traversal._walk_keys) as walk_keys:
+        emp = empirical_ball_distribution(g, 1, cap=30)
+    assert walk_keys.called
+    assert emp == ball_census(g, 1, 30)
 
 
 def test_census_with_a_hub_folds_wide_rows_like_the_oracle():
