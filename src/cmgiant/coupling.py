@@ -13,12 +13,13 @@ visited vertex is a vertex reuse that closes a cycle and yields no new
 vertices. The first step that is not clean, or where the two child counts
 differ, is the moment the processes part ways.
 
-One state object holds both sides of a run and the matching, which stores
-only what the run touches: owners and degrees come from the degree
-sequence's own array and its running offsets, paired labels sit in a set,
-and the pool of unpaired labels that redraws pick from is built on the
-first half-edge reuse. A run without reuses thus costs its steps, plus one
-cumulative sum over the degrees.
+A run is one loop that appends a TraceStep per pairing; the generation
+sizes of the branching side, the reuse counts and the first divergence are
+read off the steps afterwards. The matching stores only what the run
+touches: owners and degrees come from the degree sequence's own array and
+a cumulative sum over it, paired labels sit in a set, and the pool of
+unpaired labels that redraws pick from is built, in O(ell), on the first
+half-edge reuse. A run without reuses thus costs its steps plus that sum.
 """
 from __future__ import annotations
 
@@ -65,162 +66,129 @@ class CouplingTrace:
     exhausted: bool
 
 
-class _Exploration:
-    """Mutable state of one coupled run.
+def _pool_remove(pool: np.ndarray, pos: np.ndarray, h: int) -> np.ndarray:
+    """The redraw pool without label h: the last label moves into its slot."""
+    i = pos[h]
+    if i < 0:
+        return pool
+    last = pool[-1]
+    pool[i] = last
+    pos[last] = i
+    pos[h] = -1
+    return pool[:-1]
 
-    The matching: the sequence's degree array and its running offsets,
-    `paired` (the labels paired so far), and from the first half-edge reuse
-    on two label arrays: the redraw pool of unpaired labels and `pos`, each
-    label's index in the pool (-1 when not pooled). Pairing removes a label
-    from the pool by moving the last one into its slot. The graph side: the
-    queue of pending (half-edge, level) pairs, the visited vertices and the
-    generation counts. The branching side: its generation sizes, the
-    individuals of the current generation still to draw, and the partial
-    count of the next one.
+
+def _bp_generations(children: list[int]) -> tuple[tuple[int, ...], int, int]:
+    """Generation sizes, the partial count of the next generation and the
+    individuals of the last full generation still to draw, read off the
+    breadth-first child counts of a branching process, the root's first.
+
+    A generation that adds nobody ends the process: the pending and partial
+    counts are then 0.
     """
-
-    def __init__(self, seq: DegreeSequence, root: int, rng: np.random.Generator):
-        self.degrees = seq.degrees
-        self.offsets = np.concatenate(([0], np.cumsum(seq.degrees)))
-        self.ell = int(self.offsets[-1])
-        self.paired: set[int] = set()
-        self.rng = rng
-        self.pool: np.ndarray | None = None
-        self.pos: np.ndarray | None = None
-        self.queue = deque((h, 1) for h in self.half_edges(root))
-        self.visited = {root}
-        self.gen_counts = [1]
-        self.steps: list[TraceStep] = []
-        self.first_divergence: int | None = None
-        self.he_reuses = 0
-        self.v_reuses = 0
-        self.bp_remaining = int(self.degrees[root])
-        self.bp_gens = [1, self.bp_remaining]
-        self.bp_next = 0
-        self.bp_dead = False
-        self.exhausted = False
-
-    def owner(self, h: int) -> int:
-        # every degree is at least 1, so the offsets strictly increase
-        return int(self.offsets.searchsorted(h, side="right")) - 1
-
-    def half_edges(self, v: int) -> range:
-        return range(int(self.offsets[v]), int(self.offsets[v + 1]))
-
-    def _pool_remove(self, h: int) -> None:
-        if self.pool is None or self.pos[h] < 0:
-            return
-        last = self.pool[-1]
-        self.pool[self.pos[h]] = last
-        self.pos[last] = self.pos[h]
-        self.pos[h] = -1
-        self.pool = self.pool[:-1]
-
-    def _redraw(self, x: int) -> int:
-        """Uniform unpaired label other than x."""
-        if self.pool is None:
-            free = np.ones(self.ell, dtype=bool)
-            free[list(self.paired)] = False
-            free[x] = False
-            self.pool = np.flatnonzero(free)
-            self.pos = np.full(self.ell, -1)
-            self.pos[self.pool] = np.arange(self.pool.size)
-        else:
-            self._pool_remove(x)
-        j = int(self.rng.integers(0, len(self.pool)))
-        return int(self.pool[j])
-
-    def _bp_step(self, y: int) -> int | None:
-        """Give the next branching individual deg(owner(y)) - 1 children.
-
-        Returns that count, or None when the branching side has died.
-        """
-        if self.bp_dead:
-            return None
-        children = int(self.degrees[self.owner(y)]) - 1
-        self.bp_remaining -= 1
-        self.bp_next += children
-        if self.bp_remaining == 0:
-            if self.bp_next == 0:
-                self.bp_dead = True
-            else:
-                self.bp_gens.append(self.bp_next)
-                self.bp_remaining = self.bp_next
-                self.bp_next = 0
-        return children
-
-    def step(self) -> bool:
-        """Make one pairing; False, with no draw, once the queue is exhausted."""
-        while self.queue:
-            x, level = self.queue.popleft()
-            if x not in self.paired:
-                break
-        else:
-            self.exhausted = True
-            return False
-
-        y_raw = int(self.rng.integers(0, self.ell))
-        bp_children = self._bp_step(y_raw)
-
-        if y_raw == x or y_raw in self.paired:
-            event = EVENT_HALF_EDGE_REUSE
-            self.he_reuses += 1
-            y = self._redraw(x)
-        else:
-            y = y_raw
-            event = EVENT_NONE
-        for h in (x, y):
-            self.paired.add(h)
-            self._pool_remove(h)
-
-        w = self.owner(y)
-        if w in self.visited:
-            if event == EVENT_NONE:
-                event = EVENT_VERTEX_REUSE
-                self.v_reuses += 1
-            graph_children = 0
-        else:
-            self.visited.add(w)
-            while len(self.gen_counts) <= level:
-                self.gen_counts.append(0)
-            self.gen_counts[level] += 1
-            fresh = [h for h in self.half_edges(w) if h not in self.paired]
-            graph_children = len(fresh)
-            self.queue.extend((h, level + 1) for h in fresh)
-
-        self.steps.append(TraceStep(graph_children, bp_children, event))
-        if self.first_divergence is None and (
-            event != EVENT_NONE or bp_children != graph_children
-        ):
-            self.first_divergence = len(self.steps) - 1
-        return True
+    sizes = [1]
+    drawn = 0
+    while drawn + sizes[-1] <= len(children):
+        born = sum(children[drawn : drawn + sizes[-1]])
+        drawn += sizes[-1]
+        if born == 0:
+            return tuple(sizes), 0, 0
+        sizes.append(born)
+    return tuple(sizes), sum(children[drawn:]), sizes[-1] - (len(children) - drawn)
 
 
 def coupled_exploration(
     seq: DegreeSequence, root: int, budget: int, rng: np.random.Generator
 ) -> CouplingTrace:
     """Coupled run from one root; stops at budget discovered vertices, or
-    when the root's component is exhausted."""
+    when the root's component is exhausted. The loop only appends steps; the
+    branching side counts the individuals still to draw and dies at 0, and
+    the generation sizes, reuse counts and first divergence come from the steps.
+    """
     if budget < 1:
         raise ValueError("budget must be at least 1")
     if not 0 <= root < seq.n:
         raise ValueError(f"root {root} out of range")
-    run = _Exploration(seq, root, rng)
-    while len(run.visited) < budget and run.step():
-        pass
+    degrees = seq.degrees
+    # every degree is at least 1, so the offsets strictly increase
+    offsets = np.concatenate(([0], np.cumsum(degrees)))
+    ell = int(offsets[-1])
+    paired: set[int] = set()
+    pool = pos = None
+    queue = deque((h, 1) for h in range(int(offsets[root]), int(offsets[root + 1])))
+    visited = {root}
+    gen_counts = [1]
+    steps: list[TraceStep] = []
+    bp_left = int(degrees[root])
+    exhausted = False
+    while len(visited) < budget:
+        while queue:
+            x, level = queue.popleft()
+            if x not in paired:
+                break
+        else:
+            exhausted = True
+            break
+
+        y = int(rng.integers(0, ell))
+        w = int(offsets.searchsorted(y, side="right")) - 1
+        bp_children = None
+        if bp_left:
+            bp_children = int(degrees[w]) - 1
+            bp_left += bp_children - 1
+
+        event = EVENT_NONE
+        if y == x or y in paired:
+            event = EVENT_HALF_EDGE_REUSE
+            # a uniform unpaired label other than x
+            if pool is None:
+                free = np.ones(ell, dtype=bool)
+                free[list(paired)] = False
+                free[x] = False
+                pool = np.flatnonzero(free)
+                pos = np.full(ell, -1)
+                pos[pool] = np.arange(pool.size)
+            else:
+                pool = _pool_remove(pool, pos, x)
+            y = int(pool[int(rng.integers(0, len(pool)))])
+            w = int(offsets.searchsorted(y, side="right")) - 1
+        for h in (x, y):
+            paired.add(h)
+            if pool is not None:
+                pool = _pool_remove(pool, pos, h)
+
+        if w in visited:
+            if event == EVENT_NONE:
+                event = EVENT_VERTEX_REUSE
+            graph_children = 0
+        else:
+            visited.add(w)
+            while len(gen_counts) <= level:
+                gen_counts.append(0)
+            gen_counts[level] += 1
+            fresh = [h for h in range(int(offsets[w]), int(offsets[w + 1])) if h not in paired]
+            graph_children = len(fresh)
+            queue.extend((h, level + 1) for h in fresh)
+        steps.append(TraceStep(graph_children, bp_children, event))
+
+    bp_gens, bp_next, bp_pending = _bp_generations(
+        [int(degrees[root])] + [s.bp_children for s in steps if s.bp_children is not None]
+    )
+    events = [s.event for s in steps]
+    clean = [e == EVENT_NONE and s.bp_children == s.graph_children for e, s in zip(events, steps)]
     return CouplingTrace(
         root=root,
         budget=budget,
-        steps=tuple(run.steps),
-        first_divergence=run.first_divergence,
-        graph_generation_sizes=tuple(run.gen_counts),
-        bp_generation_sizes=tuple(run.bp_gens),
-        bp_next_partial=run.bp_next,
-        bp_pending=0 if run.bp_dead else run.bp_remaining,
-        graph_vertices=len(run.visited),
-        half_edge_reuses=run.he_reuses,
-        vertex_reuses=run.v_reuses,
-        exhausted=run.exhausted,
+        steps=tuple(steps),
+        first_divergence=clean.index(False) if False in clean else None,
+        graph_generation_sizes=tuple(gen_counts),
+        bp_generation_sizes=bp_gens,
+        bp_next_partial=bp_next,
+        bp_pending=bp_pending,
+        graph_vertices=len(visited),
+        half_edge_reuses=events.count(EVENT_HALF_EDGE_REUSE),
+        vertex_reuses=events.count(EVENT_VERTEX_REUSE),
+        exhausted=exhausted,
     )
 
 

@@ -327,6 +327,12 @@ def _distance_scale(cfg: ExperimentConfig) -> str | None:
     return None
 
 
+def _one_k(cfg: ExperimentConfig) -> str | None:
+    if len(cfg.k_values) > 1:
+        return "field 'k': structure reads a single k"
+    return None
+
+
 def _two_halves(cfg: ExperimentConfig) -> str | None:
     if cfg.sequence is not None:
         return "field 'sequence_path': necessity_demo samples its two halves from 'pmf'"
@@ -354,7 +360,7 @@ class Experiment:
 
 REGISTRY = {
     "giant": Experiment(_giant, _giant_theory),
-    "structure": Experiment(_structure, _zeta_sq_theory),
+    "structure": Experiment(_structure, _zeta_sq_theory, requires=_one_k),
     "almost_local": Experiment(_pair_fractions),
     "necessity_demo": Experiment(_necessity_demo, _half_zeta_theory, requires=_two_halves),
     "local_conv": Experiment(_local_conv, _giant_deg1_theory, requires=_non_degenerate),

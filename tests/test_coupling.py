@@ -13,6 +13,7 @@ from cmgiant import (
     reuse_bounds,
     sample_iid_degrees,
 )
+from cmgiant.coupling import _bp_generations
 from strategies import degree_lists
 
 MIXTURE = Pmf.from_dict({1: 0.5, 3: 0.5})
@@ -67,6 +68,35 @@ def test_argument_validation():
         coupled_exploration(seq, 5, 3, rng)
     with pytest.raises(ValueError):
         coupled_exploration(seq, -1, 3, rng)
+
+
+def test_branching_side_dies_while_the_graph_goes_on():
+    # step 0's raw draw is the root's own half-edge: the branching side takes
+    # the degree-1 root, has no children and dies, while the redraw reaches
+    # the degree-2 vertex and the graph side goes on to the third vertex
+    seq = DegreeSequence(np.array([1, 1, 2]))
+    t = coupled_exploration(seq, 0, 10, np.random.default_rng(14))
+    assert t.steps[0].bp_children == 0
+    assert t.steps[1].bp_children is None
+    assert t.bp_generation_sizes == (1, 1)
+    assert t.bp_next_partial == t.bp_pending == 0
+    assert t.graph_generation_sizes == (1, 1, 1)
+
+
+@pytest.mark.parametrize(
+    "children, generations",
+    [
+        ([2], ((1, 2), 0, 2)),  # only the root drawn
+        ([2, 1], ((1, 2), 1, 1)),  # one of two drawn, one child so far
+        ([2, 1, 3], ((1, 2, 4), 0, 4)),  # the second generation just completed
+        ([2, 1, 0, 1], ((1, 2, 1, 1), 0, 1)),  # the fourth generation still to draw
+        ([2, 0, 0], ((1, 2), 0, 0)),  # a generation with no children: death
+        ([1, 0], ((1, 1), 0, 0)),  # death in the first generation
+    ],
+)
+def test_bp_generations_by_hand(children, generations):
+    # child counts in breadth-first order, the root's first
+    assert _bp_generations(children) == generations
 
 
 @given(degree_lists(max_n=30), st.integers(1, 40), st.integers(0, 2**32 - 1))

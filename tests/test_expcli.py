@@ -765,6 +765,7 @@ def test_pool_never_has_more_workers_than_jobs(tmp_path, monkeypatch):
         (["necessity_demo", "--n", "1"], {}, "n"),
         (["necessity_demo"], {"sequence_path": "degrees.txt"}, "sequence_path"),
         (["giant"], {"sequence_path": "two.txt", "pmf": {"1": 0.5, "3": 0.5}}, "pmf"),
+        (["structure"], {"k": [5, 50]}, "k"),
     ],
     ids=[
         "degree-two-law",
@@ -775,6 +776,7 @@ def test_pool_never_has_more_workers_than_jobs(tmp_path, monkeypatch):
         "n-below-two",
         "halves-from-sequence",
         "pmf-with-sequence",
+        "structure-two-k",
     ],
 )
 def test_main_unsuited_config_exits_two_naming_it(tmp_path, monkeypatch, capsys, argv, config, field):
