@@ -38,13 +38,15 @@ def _component_ids(g: HalfEdgeGraph) -> tuple[np.ndarray, int]:
     vertex; return (vertex -> component id, m).
 
     Min-label hooking with pointer jumping, in the style of Shiloach and
-    Vishkin (1982), on a graph contracted after every round. A round hooks
-    every vertex under its smallest neighbour when that is smaller, jumps
-    pointers until every tree is a star, drops the edges inside a tree and
-    renames the roots 0..m'-1 in increasing order. The next round runs on
-    those m' vertices and on the edges still crossing between them. A root
-    is the smallest vertex of its tree and the renaming keeps order, so each
-    vertex's order is that of the smallest original vertex it holds.
+    Vishkin (1982). A round hooks every vertex under its smallest neighbour
+    when that is smaller and jumps pointers until every tree is a star whose
+    root is its smallest vertex. The first round runs on all n vertices;
+    each later one runs only on the previous round's roots that still have
+    an edge crossing to another tree (its live roots), numbered 0..k-1 in
+    increasing order, and on those crossing edges. Numbering keeps order,
+    so a root stays the smallest vertex of its tree; unwinding the rounds
+    hands each live root the final root of its number in the next round.
+    The final roots are ranked once, by scattering 0..m-1 over them.
     """
     # owner is nondecreasing in the half-edge label, so lo <= hi here; the
     # gathers are ordered so that at most three edge arrays are alive at once
@@ -53,11 +55,10 @@ def _component_ids(g: HalfEdgeGraph) -> tuple[np.ndarray, int]:
     lo = g.owner[x]
     del x
     hi = g.owner[hi]
-    m = g.n
-    # ids maps vertices to the first round's roots, later those to the last
-    ids = later = None
-    while lo.size:
-        label = np.arange(m)
+    label = np.arange(g.n)
+    # (label, live roots) of every round but the last
+    rounds = []
+    while True:
         np.minimum.at(label, hi, lo)
         while True:
             jumped = label[label]
@@ -67,25 +68,38 @@ def _component_ids(g: HalfEdgeGraph) -> tuple[np.ndarray, int]:
         del jumped
         lo = label[lo]
         hi = label[hi]
-        cross = lo != hi
-        u, v = lo[cross], hi[cross]
-        del lo, hi, cross
-        rename = np.cumsum(label == np.arange(m))
-        rename -= 1
-        m = int(rename[-1]) + 1
-        new = rename[label]
-        del label
-        if ids is None:
-            ids = new
-        else:
-            later = new if later is None else new[later]
-        del new
-        lo = rename[np.minimum(u, v)]
-        hi = rename[np.maximum(u, v, out=u)]
-        del u, v, rename
-    if ids is None:
-        return np.arange(m), m
-    return (ids if later is None else later[ids]), m
+        cross = np.flatnonzero(lo != hi)
+        if not cross.size:
+            break
+        u = lo.take(cross)
+        del lo
+        v = hi.take(cross)
+        del hi, cross
+        mark = np.zeros(label.size, dtype=bool)
+        mark[u] = True
+        mark[v] = True
+        live = np.flatnonzero(mark)
+        del mark
+        rounds.append((label, live))
+        # a root is its own label, so the live roots' slots can hold their
+        # numbers in the next round until the unwinding overwrites them
+        label[live] = np.arange(live.size)
+        u = label[u]
+        v = label[v]
+        lo = np.minimum(u, v)
+        hi = np.maximum(u, v, out=u)
+        del u, v
+        label = np.arange(live.size)
+    del lo, hi
+    while rounds:
+        prev, live = rounds.pop()
+        prev[live] = live[label]
+        label = prev[prev]
+        del prev, live
+    roots = np.flatnonzero(label == np.arange(label.size))
+    rename = np.empty(label.size, dtype=np.int64)
+    rename[roots] = np.arange(roots.size)
+    return rename[label], int(roots.size)
 
 
 def component_decomposition(g: HalfEdgeGraph) -> ComponentSummary:
@@ -123,7 +137,7 @@ def giant_statistics(cs: ComponentSummary, n: int) -> GiantStatistics:
     """Normalized statistics of the largest cluster."""
     gmax_frac = float(cs.sizes[0] / n)
     second_frac = float(cs.sizes[1] / n) if cs.num_clusters > 1 else 0.0
-    hist = np.bincount(cs.degrees[cs.labels == 0])
+    hist = np.bincount(cs.degrees.compress(cs.labels == 0))
     vk = {int(k): int(hist[k]) / n for k in np.flatnonzero(hist)}
     edge_frac = float(cs.per_cluster_edges[0] / n)
     return GiantStatistics(gmax_frac, second_frac, vk, edge_frac)
@@ -175,5 +189,5 @@ def boundary_pair_fraction(g: HalfEdgeGraph, cs: ComponentSummary, r: int) -> fl
     """
     bc = boundary_counts(g, r)
     passing = bc >= r
-    counts = np.bincount(cs.labels[passing], minlength=cs.num_clusters).astype(np.int64)
+    counts = np.bincount(cs.labels.compress(passing), minlength=cs.num_clusters).astype(np.int64)
     return _cross_cluster_fraction(counts, g.n)

@@ -168,11 +168,11 @@ def truncate_explode(seq: DegreeSequence, b: int) -> ExplosionMap:
     Vertex v keeps its min(d_v, b) lowest labels; every displaced half-edge
     becomes a new degree-1 vertex appended after the originals, scanning
     vertices in order and their displaced labels in increasing order. Total
-    degree is preserved exactly. The relabeling ranks the labels with one
-    running count of the displaced ones: a kept label moves to the same
-    offset in its vertex's truncated range, which is its rank among the kept
-    labels, and the j-th displaced label becomes the single label of vertex
-    n + j.
+    degree is preserved exactly. A kept label moves down by the number of
+    labels displaced from earlier vertices, to the same offset in its
+    vertex's truncated range; the j-th displaced label becomes the single
+    label of vertex n + j. The displaced labels are listed directly as the
+    ranges offsets[v] + b .. offsets[v+1]-1 of the vertices above b.
 
     Args:
         b: degree cutoff, at least 1.
@@ -180,24 +180,27 @@ def truncate_explode(seq: DegreeSequence, b: int) -> ExplosionMap:
     if b < 1:
         raise ValueError("cutoff must be at least 1")
     degrees = seq.degrees
-    n = seq.n
+    ell = seq.total_degree
     kept = np.minimum(degrees, b)
-    n_plus = seq.total_degree - int(kept.sum())
+    excess = degrees - kept
+    n_plus = int(excess.sum())
     truncated = DegreeSequence(np.concatenate([kept, np.ones(n_plus, dtype=np.int64)]))
 
-    owner = np.repeat(np.arange(n, dtype=np.int64), degrees)
-    labels = np.arange(seq.total_degree, dtype=np.int64)
-    keep = labels - (np.cumsum(degrees) - degrees)[owner] < b
-    # labels displaced at or before each label: a kept label moves down by
-    # that many, and the j-th displaced one (moved = j + 1) follows the kept
-    # labels in j-th place
-    moved = np.cumsum(~keep)
-    relab = np.where(keep, labels - moved, moved + (seq.total_degree - n_plus - 1))
+    # labels displaced from the vertices before each vertex
+    before = np.cumsum(excess) - excess
+    big = np.flatnonzero(excess)
+    counts = excess[big]
+    # the j-th displaced label, from vertex v, is j + offsets[v] + b - before[v]
+    displaced = np.repeat((np.cumsum(degrees) - degrees)[big] + b - before[big], counts)
+    displaced += np.arange(n_plus)
+    relab = np.arange(ell, dtype=np.int64)
+    relab -= np.repeat(before, degrees)
+    relab[displaced] = np.arange(ell - n_plus, ell)
     emap = ExplosionMap(
         original_degrees=seq,
         truncated_degrees=truncated,
         cutoff=b,
-        origin=owner[~keep],
+        origin=np.repeat(big, counts),
         half_edge_relabeling=relab,
     )
     emap.validate()

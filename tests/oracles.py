@@ -86,6 +86,28 @@ def min_label_decomposition(g):
     return sizes, edges, labels, degrees
 
 
+def truncate_explode_loop(degrees: list[int], b: int):
+    """(truncated degrees, origin, half-edge relabeling) of truncating the
+    degrees at b, one label at a time: the first b labels of a vertex keep
+    their offsets in its truncated range, and every later label becomes the
+    single label of the next new vertex, numbered from n on, scanning the
+    vertices and their labels in increasing order."""
+    kept = [min(d, b) for d in degrees]
+    new_label = sum(kept)
+    start = 0
+    origin, relabeling = [], []
+    for v, d in enumerate(degrees):
+        for i in range(d):
+            if i < b:
+                relabeling.append(start + i)
+            else:
+                relabeling.append(new_label)
+                new_label += 1
+                origin.append(v)
+        start += kept[v]
+    return kept + [1] * len(origin), origin, relabeling
+
+
 def boundary_counts_bfs(g, r: int) -> np.ndarray:
     """|∂B_r(v)| for every vertex v, counted from single-source distances."""
     return np.array([int(np.sum(distances_from(g, v) == r)) for v in range(g.n)], dtype=np.int64)

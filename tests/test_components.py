@@ -151,6 +151,47 @@ def test_decomposition_matches_min_label_reference_on_equal_cycles():
     assert np.array_equal(cs.labels[firsts], np.arange(n // length))
 
 
+def relabel_vertices(g, perm):
+    """g with vertex v renamed perm[v], each vertex keeping its half-edges in order."""
+    degrees = np.empty(g.n, dtype=np.int64)
+    degrees[perm] = g.degrees()
+    offsets = np.zeros(g.n + 1, dtype=np.int64)
+    np.cumsum(degrees, out=offsets[1:])
+    # label x of vertex v moves to the same offset in perm[v]'s range
+    moved = offsets[perm[g.owner]] + np.arange(g.num_half_edges) - g.offsets[g.owner]
+    mate = np.empty_like(g.mate)
+    mate[moved] = moved[g.mate]
+    return HalfEdgeGraph(offsets, mate)
+
+
+@st.composite
+def live_root_graphs(draw):
+    """A random pairing beside shuffled cycles of 20-400 vertices and up to
+    ten degree-0 vertices, built from offsets on a random vertex order.
+
+    The first min-label round settles most of the pairing's clusters; a
+    shuffled cycle puts its smallest vertex far from most of its vertices,
+    so it stays live through several later rounds.
+    """
+    degrees = draw(degree_lists(max_n=30))
+    cycles = draw(st.lists(st.integers(20, 400), max_size=3))
+    isolated = draw(st.integers(0, 10))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    g = pair_half_edges(DegreeSequence(np.array(degrees)), rng)
+    for length in cycles:
+        g = disjoint_union(g, cycle_graph(length))
+    offsets = np.concatenate([g.offsets, np.full(isolated, g.offsets[-1])])
+    g = HalfEdgeGraph(offsets, g.mate)
+    return relabel_vertices(g, rng.permutation(g.n))
+
+
+@given(live_root_graphs())
+def test_decomposition_matches_min_label_reference_on_live_roots(g):
+    g.validate()
+    assert_matches_min_label_reference(g)
+    assert_matches_reference(g)
+
+
 def test_self_loops_and_parallel_edges():
     # vertex 0 carries a self-loop; vertices 1 and 2 share two parallel edges
     # and vertex 1 has a self-loop too; vertices 3 and 4 form an edge

@@ -16,7 +16,7 @@ from cmgiant import (
     pair_half_edges,
     truncate_explode,
 )
-from oracles import edge_iter
+from oracles import edge_iter, truncate_explode_loop
 from strategies import degree_lists
 
 
@@ -141,6 +141,17 @@ def test_truncate_explode_shatters_single_vertex():
     emap = truncate_explode(DegreeSequence(np.array([4])), 1)
     assert emap.truncated_degrees.degrees.tolist() == [1, 1, 1, 1]
     assert emap.origin.tolist() == [0, 0, 0]
+
+
+@given(degree_lists(), st.integers(1, 6))
+def test_truncate_explode_matches_the_per_label_oracle(degrees, b):
+    emap = truncate_explode(DegreeSequence(np.array(degrees)), b)
+    truncated, origin, relabeling = truncate_explode_loop(degrees, b)
+    assert emap.truncated_degrees.degrees.tolist() == truncated
+    assert emap.origin.dtype == np.int64
+    assert emap.origin.tolist() == origin
+    assert emap.half_edge_relabeling.dtype == np.int64
+    assert emap.half_edge_relabeling.tolist() == relabeling
 
 
 def test_explosion_map_validate_rejects_non_bijections():
