@@ -189,5 +189,5 @@ def boundary_pair_fraction(g: HalfEdgeGraph, cs: ComponentSummary, r: int) -> fl
     """
     bc = boundary_counts(g, r)
     passing = bc >= r
-    counts = np.bincount(cs.labels.compress(passing), minlength=cs.num_clusters).astype(np.int64)
+    counts = np.bincount(cs.labels[passing], minlength=cs.num_clusters).astype(np.int64)
     return _cross_cluster_fraction(counts, g.n)

@@ -259,8 +259,8 @@ def _truncation(job: Job) -> dict:
     return {
         "n_exploded": emap.exploded_n - emap.original_n,
         "connectivity_violations": violations,
-        "gmax_frac": float(cs.sizes[0] / g.n),
-        "truncated_gmax_frac": float(csp.sizes[0] / gp.n),
+        "gmax_frac": giant_statistics(cs, g.n).gmax_frac,
+        "truncated_gmax_frac": giant_statistics(csp, gp.n).gmax_frac,
     }
 
 
