@@ -28,7 +28,7 @@ from .degree_model import (
     empirical_distribution,
     sample_iid_degrees,
 )
-from .distances import sample_distances, scaling_report
+from .distances import sample_distances
 from .graph_build import (
     ExplosionMap,
     HalfEdgeGraph,
@@ -93,7 +93,6 @@ __all__ = [
     "reuse_bounds",
     "sample_distances",
     "sample_iid_degrees",
-    "scaling_report",
     "simulate_unimodular_bp",
     "sum_squares_ratio",
     "theoretical_giant",

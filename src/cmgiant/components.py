@@ -18,13 +18,11 @@ class ComponentSummary:
 
     Attributes:
         sizes: cluster sizes in rank order.
-        per_cluster_edges: edge count per cluster (self-loops count once).
         labels: vertex -> cluster rank.
         degrees: vertex -> degree.
     """
 
     sizes: np.ndarray
-    per_cluster_edges: np.ndarray
     labels: np.ndarray
     degrees: np.ndarray
 
@@ -107,8 +105,7 @@ def component_decomposition(g: HalfEdgeGraph) -> ComponentSummary:
 
     `_component_ids` numbers the components by their smallest vertex; one
     stable argsort of the negated sizes then ranks them by (-size, smallest
-    vertex). The per-cluster edge counts come from one bincount of degrees
-    over ranks.
+    vertex).
     """
     ids, m = _component_ids(g)
     counts = np.bincount(ids, minlength=m)
@@ -117,12 +114,7 @@ def component_decomposition(g: HalfEdgeGraph) -> ComponentSummary:
     rank_of[ranked] = np.arange(m, dtype=np.int64)
     labels = rank_of[ids]
     del ids
-    sizes = counts[ranked]
-
-    degrees = g.degrees()
-    # Both half-edges of every edge lie inside its cluster.
-    edges = np.bincount(labels, weights=degrees, minlength=m).astype(np.int64) // 2
-    return ComponentSummary(sizes=sizes, per_cluster_edges=edges, labels=labels, degrees=degrees)
+    return ComponentSummary(sizes=counts[ranked], labels=labels, degrees=g.degrees())
 
 
 @dataclass(frozen=True)
@@ -139,8 +131,9 @@ def giant_statistics(cs: ComponentSummary, n: int) -> GiantStatistics:
     second_frac = float(cs.sizes[1] / n) if cs.num_clusters > 1 else 0.0
     hist = np.bincount(cs.degrees.compress(cs.labels == 0))
     vk = {int(k): int(hist[k]) / n for k in np.flatnonzero(hist)}
-    edge_frac = float(cs.per_cluster_edges[0] / n)
-    return GiantStatistics(gmax_frac, second_frac, vk, edge_frac)
+    # both half-edges of every edge lie inside its cluster; a self-loop counts once
+    edges = int(np.arange(hist.size) @ hist) // 2
+    return GiantStatistics(gmax_frac, second_frac, vk, edges / n)
 
 
 @dataclass(frozen=True)

@@ -1,14 +1,13 @@
-"""Pairwise graph distances and their logarithmic scaling.
+"""Pairwise graph distances between sampled vertex pairs.
 
 Distances between uniformly chosen vertex pairs concentrate around
 log n / log nu when the mean forward branching factor nu exceeds one, and
 the chance that a pair is connected at all approaches the square of the
-giant fraction. Both effects are summarized here from a plain sample of
-bidirectional searches.
+giant fraction. A plain sample of bidirectional searches measures both;
+the distances experiment divides its mean and median by that reference.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,41 +64,4 @@ def sample_distances(
         pairs_attempted=pairs,
         finite_distances=tuple(finite),
         infinite_count=infinite,
-    )
-
-
-@dataclass(frozen=True)
-class DistanceScalingReport:
-    """Sampled distance statistics against the log n / log nu reference."""
-
-    reference: float
-    mean_finite: float
-    median_finite: float
-    mean_ratio: float
-    median_ratio: float
-    finite_fraction: float
-
-
-def scaling_report(
-    sample: DistanceSample, n: int, nu: float
-) -> DistanceScalingReport:
-    """Compare a distance sample against the logarithmic growth reference.
-
-    Meaningful only in the supercritical regime, so nu must exceed one and
-    n must be at least 3 for the reference log n / log nu to be positive.
-    """
-    if nu <= 1.0:
-        raise ValueError("scaling reference needs nu > 1")
-    if n < 3:
-        raise ValueError("scaling reference needs n >= 3")
-    reference = math.log(n) / math.log(nu)
-    mean = sample.mean_finite()
-    median = sample.median_finite()
-    return DistanceScalingReport(
-        reference=reference,
-        mean_finite=mean,
-        median_finite=median,
-        mean_ratio=mean / reference,
-        median_ratio=median / reference,
-        finite_fraction=sample.finite_fraction,
     )

@@ -49,7 +49,7 @@ from .components import (
 )
 from .coupling import coupled_exploration, reuse_bounds
 from .degree_model import DegreeSequence, Pmf, empirical_distribution, sample_iid_degrees
-from .distances import sample_distances, scaling_report
+from .distances import sample_distances
 from .graph_build import (
     HalfEdgeGraph,
     coupled_pairing,
@@ -228,11 +228,12 @@ def _distances(job: Job) -> dict:
     g = job.graph
     ds = sample_distances(g, job.cfg.pairs, derive_rng(job.seed, STREAM_ANALYSIS))
     # with no connected pair sampled, the distance statistics are NaN
-    rep = scaling_report(ds, g.n, job.cfg.spec.nu) if ds.finite_distances else None
+    mean, median = (ds.mean_finite(), ds.median_finite()) if ds.finite_distances else (math.nan, math.nan)
+    ref = _distance_ref(job.cfg, g.n)
     return {
-        "mean_finite": rep.mean_finite if rep else math.nan,
-        "mean_ratio": rep.mean_ratio if rep else math.nan,
-        "median_ratio": rep.median_ratio if rep else math.nan,
+        "mean_finite": mean,
+        "mean_ratio": mean / ref,
+        "median_ratio": median / ref,
         "finite_fraction": ds.finite_fraction,
         "_histogram": sorted(Counter(ds.finite_distances).items()),
     }
@@ -290,8 +291,13 @@ def _coupling_theory(cfg: ExperimentConfig, n: int) -> dict[str, float]:
     return {"theory_he_bound": bounds.half_edge, "theory_vertex_bound": bounds.vertex}
 
 
+def _distance_ref(cfg: ExperimentConfig, n: int) -> float:
+    """log n / log nu, the scale that typical distances grow on."""
+    return math.log(n) / math.log(cfg.spec.nu)
+
+
 def _distances_theory(cfg: ExperimentConfig, n: int) -> dict[str, float]:
-    return {"theory_ref": math.log(n) / math.log(cfg.spec.nu), **_zeta_sq_theory(cfg, n)}
+    return {"theory_ref": _distance_ref(cfg, n), **_zeta_sq_theory(cfg, n)}
 
 
 def _write_histograms(cfg: ExperimentConfig, rows: list, written: list[str]) -> None:

@@ -59,9 +59,6 @@ class HalfEdgeGraph:
     def degrees(self) -> np.ndarray:
         return np.diff(self.offsets)
 
-    def half_edges(self, v: int) -> range:
-        return range(int(self.offsets[v]), int(self.offsets[v + 1]))
-
     def validate(self) -> None:
         """Check the matching is a fixed-point-free involution on the labels,
         a slice of _VALIDATE_SLICE labels at a time to bound its temporary arrays."""

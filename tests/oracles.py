@@ -69,7 +69,7 @@ def min_vertex_labels(g) -> np.ndarray:
 
 
 def min_label_decomposition(g):
-    """(sizes, per_cluster_edges, labels, degrees) of g on the full vertex
+    """(sizes, edge count per cluster, labels, degrees) of g on the full vertex
     array: components labeled by `min_vertex_labels`, then ranked with one
     lexsort on (-size, smallest vertex)."""
     n = g.n

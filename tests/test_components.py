@@ -70,13 +70,18 @@ def reference_decomposition(g):
     return [m.size for m in members], labels, hists, edges
 
 
+def giant_edges(cs, n):
+    """The giant's edge count, read back from giant_statistics' edge fraction."""
+    return round(giant_statistics(cs, n).edge_frac * n)
+
+
 def assert_matches_reference(g):
     cs = component_decomposition(g)
     sizes, labels, hists, edges = reference_decomposition(g)
     assert cs.sizes.tolist() == sizes
     assert np.array_equal(cs.labels, labels)
     assert giant_statistics(cs, g.n).vk_frac == {d: c / g.n for d, c in hists[0].items()}
-    assert cs.per_cluster_edges.tolist() == edges
+    assert giant_edges(cs, g.n) == edges[0]
     return cs
 
 
@@ -103,18 +108,20 @@ def test_shuffled_cycle_is_one_component():
     mate = np.empty(2 * n, dtype=np.int64)
     tail, head = 2 * order + 1, 2 * np.roll(order, -1)
     mate[tail], mate[head] = head, tail
-    cs = assert_matches_reference(graph_from([2] * n, mate))
+    g = graph_from([2] * n, mate)
+    cs = assert_matches_reference(g)
     assert cs.sizes.tolist() == [n]
-    assert cs.per_cluster_edges.tolist() == [n]
+    assert giant_edges(cs, n) == min_label_decomposition(g)[1][0] == n
 
 
 def assert_matches_min_label_reference(g):
     cs = component_decomposition(g)
-    fields = ("sizes", "per_cluster_edges", "labels", "degrees")
-    for name, want in zip(fields, min_label_decomposition(g)):
+    sizes, edges, labels, degrees = min_label_decomposition(g)
+    for name, want in (("sizes", sizes), ("labels", labels), ("degrees", degrees)):
         got = getattr(cs, name)
         assert got.dtype == want.dtype, name
         assert np.array_equal(got, want), name
+    assert giant_edges(cs, g.n) == edges[0]
     return cs
 
 
@@ -199,14 +206,14 @@ def test_self_loops_and_parallel_edges():
     cs = assert_matches_reference(g)
     assert cs.sizes.tolist() == [2, 2, 1]
     assert cs.labels.tolist() == [2, 0, 0, 1, 1]
-    assert cs.per_cluster_edges.tolist() == [3, 1, 1]
+    assert giant_edges(cs, g.n) == min_label_decomposition(g)[1][0] == 3
 
 
 def test_single_edge_component():
     g = graph_from([1, 1], [1, 0])
     cs = component_decomposition(g)
     assert cs.sizes.tolist() == [2]
-    assert cs.per_cluster_edges.tolist() == [1]
+    assert giant_edges(cs, g.n) == min_label_decomposition(g)[1][0] == 1
     assert cs.labels.tolist() == [0, 0]
 
 
@@ -215,14 +222,14 @@ def test_self_loop_component():
     cs = component_decomposition(g)
     assert cs.sizes.tolist() == [1]
     # a self-loop is one edge even though it uses two half-edges
-    assert cs.per_cluster_edges.tolist() == [1]
+    assert giant_edges(cs, g.n) == min_label_decomposition(g)[1][0] == 1
 
 
 def test_four_cycle():
     g = cycle_graph(4)
     cs = component_decomposition(g)
     assert cs.sizes.tolist() == [4]
-    assert cs.per_cluster_edges.tolist() == [4]
+    assert giant_edges(cs, g.n) == min_label_decomposition(g)[1][0] == 4
 
 
 def test_tie_break_goes_to_lowest_vertex():
@@ -470,7 +477,7 @@ def test_component_fuzz_bookkeeping(degrees, seed):
     cs = component_decomposition(g)
     assert int(cs.sizes.sum()) == g.n
     assert np.all(cs.sizes[:-1] >= cs.sizes[1:])
-    assert int(cs.per_cluster_edges.sum()) == g.num_edges
+    assert giant_edges(cs, g.n) == min_label_decomposition(g)[1][0]
     # labels agree with sizes
     counted = np.bincount(cs.labels, minlength=cs.num_clusters)
     assert np.array_equal(counted, cs.sizes)

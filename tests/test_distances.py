@@ -11,7 +11,6 @@ from cmgiant import (
     pair_half_edges,
     sample_distances,
     sample_iid_degrees,
-    scaling_report,
 )
 from cmgiant.distances import DistanceSample
 from cmgiant.traversal import pair_distance
@@ -122,28 +121,6 @@ def test_empty_finite_sample_rejects_stats():
         sample.median_finite()
 
 
-def test_scaling_report_fields():
-    sample = DistanceSample(
-        pairs_attempted=4, finite_distances=(4, 6, 6, 8), infinite_count=0
-    )
-    report = scaling_report(sample, 1000, 2.0)
-    ref = math.log(1000) / math.log(2.0)
-    assert report.reference == pytest.approx(ref)
-    assert report.mean_finite == 6.0
-    assert report.median_finite == 6.0
-    assert report.mean_ratio == pytest.approx(6.0 / ref)
-    assert report.median_ratio == pytest.approx(6.0 / ref)
-    assert report.finite_fraction == 1.0
-
-
-def test_scaling_report_validation():
-    sample = DistanceSample(pairs_attempted=1, finite_distances=(2,), infinite_count=0)
-    with pytest.raises(ValueError):
-        scaling_report(sample, 1000, 1.0)
-    with pytest.raises(ValueError):
-        scaling_report(sample, 2, 2.0)
-
-
 def test_distances_rarely_fall_far_below_reference(mixture_graph, mixture_spec):
     # the short-distance tail: the chance a uniform pair sits below
     # 0.7 * log n / log nu is at most 10 n^(-0.3) at this size
@@ -157,7 +134,7 @@ def test_distances_rarely_fall_far_below_reference(mixture_graph, mixture_spec):
 def test_mean_ratio_near_one_at_moderate_size(mixture_graph, mixture_spec):
     _, g = mixture_graph
     sample = sample_distances(g, 400, np.random.default_rng(22))
-    report = scaling_report(sample, g.n, mixture_spec.nu)
-    assert 0.7 <= report.mean_ratio <= 1.3
+    ref = math.log(g.n) / math.log(mixture_spec.nu)
+    assert 0.7 <= sample.mean_finite() / ref <= 1.3
     # connectivity of a uniform pair approaches the squared giant fraction
-    assert abs(report.finite_fraction - (22 / 27) ** 2) <= 0.05
+    assert abs(sample.finite_fraction - (22 / 27) ** 2) <= 0.05

@@ -359,12 +359,15 @@ def test_distances_run_writes_histograms(tmp_path):
         json.loads(line)
         for line in (tmp_path / "results.jsonl").read_text().splitlines()
     ]
+    header, row = (tmp_path / "summary.csv").read_text().splitlines()
+    assert "theory_zeta_sq" in header
+    # the records' ratios divide by the summary's log n / log nu
+    ref = float(dict(zip(header.split(","), row.split(",")))["theory_ref"])
     for r in records:
         assert "_histogram" not in r
         assert 0.0 <= r["finite_fraction"] <= 1.0
-    header = (tmp_path / "summary.csv").read_text().splitlines()[0]
-    assert "theory_ref" in header
-    assert "theory_zeta_sq" in header
+        assert math.isfinite(r["mean_finite"])
+        assert r["mean_ratio"] == r["mean_finite"] / ref
 
 
 def test_local_conv_records(tmp_path):

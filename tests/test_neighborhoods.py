@@ -662,7 +662,7 @@ def test_empirical_radius_zero_census_matches_degrees():
     counts: dict[bytes, float] = {}
     for v in range(g.n):
         loops = 0
-        for x in g.half_edges(v):
+        for x in range(g.offsets[v], g.offsets[v + 1]):
             y = int(g.mate[x])
             if g.owner[y] == v and x < y:
                 loops += 1
