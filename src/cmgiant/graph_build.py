@@ -33,7 +33,7 @@ class HalfEdgeGraph:
         self.mate = np.asarray(mate, dtype=np.int64)
         degrees = np.diff(self.offsets)
         self.owner = np.repeat(np.arange(self.n, dtype=np.int64), degrees)
-        self._adjacency: tuple[list[int], list[int]] | None = None
+        self._adjacency: tuple[memoryview, memoryview] | None = None
         # (r0, cyclic roots, their cycle radii) from a tree test of every
         # root, cached by traversal._tree_roots for every radius up to r0
         self._cycles: tuple | None = None
@@ -79,16 +79,18 @@ class HalfEdgeGraph:
         if fixed_point:
             raise ValueError("mate has a fixed point (a half-edge paired with itself)")
 
-    def adjacency(self) -> tuple[list[int], list[int]]:
-        """Flat adjacency as plain Python lists (offsets, neighbor-per-half-edge).
+    def adjacency(self) -> tuple[memoryview, memoryview]:
+        """Flat adjacency as memoryviews (offsets, neighbor-per-half-edge).
 
-        Cached; the neighbor list mirrors half-edge order, so neighbors of v
-        live at positions offsets[v] .. offsets[v+1]-1. Pure-Python lists keep
-        the breadth-first loops in this library fast.
+        Cached; the neighbor view mirrors half-edge order, so neighbors of v
+        live at positions offsets[v] .. offsets[v+1]-1. The offsets view
+        shares the graph's array and the neighbor view one int64 gather,
+        8 bytes a half-edge; indexing, slicing or iterating either yields
+        plain Python ints for the breadth-first loops in this library. A
+        graph whose views are cached cannot be pickled or deep-copied.
         """
         if self._adjacency is None:
-            nbr = self.owner[self.mate]
-            self._adjacency = (self.offsets.tolist(), nbr.tolist())
+            self._adjacency = (memoryview(self.offsets), memoryview(self.owner[self.mate]))
         return self._adjacency
 
 

@@ -79,7 +79,7 @@ import numpy as np
 from .components import ComponentSummary
 from .graph_build import HalfEdgeGraph
 from .local_limit import OffspringSpec
-from .traversal import _check_radius, _ragged, _tree_roots
+from .traversal import _check_radius, _check_vertex, _ragged, _tree_roots
 
 DEFAULT_BALL_CAP = 1000
 CLASS_CAP = 8
@@ -246,6 +246,7 @@ def extract_ball(
 ) -> tuple[RootedBall, bool]:
     """The radius-r ball of v in g; the flag reports a cap overflow."""
     _check_ball(r, cap)
+    _check_vertex(g, v)
     offsets, nbr = g.adjacency()
     dist = {v: 0}
     order = [v]

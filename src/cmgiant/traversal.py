@@ -14,9 +14,10 @@ _tree_roots reads cycles off them for the graph-side ball census
 (neighborhoods); when they cover every root, the graph caches each
 cyclic root's cycle radius for the censuses at smaller radii.
 
-pair_distance is a bidirectional breadth-first search over the flat Python
-adjacency lists cached on the graph, with a set of visited vertices per side;
-it stops at the first vertex where the two sides meet.
+pair_distance is a bidirectional breadth-first search over the adjacency
+memoryviews cached on the graph, which read its int64 arrays as Python ints,
+with a set of visited vertices per side; it stops at the first vertex where
+the two sides meet.
 """
 from __future__ import annotations
 
@@ -33,6 +34,11 @@ _WALK_CLIP = 1 << 30  # walk counts saturate here
 def _check_radius(r: int) -> None:
     if r < 0:
         raise ValueError(f"radius r must be nonnegative, got r={r}")
+
+
+def _check_vertex(g: HalfEdgeGraph, v: int, name: str = "v") -> None:
+    if not 0 <= v < g.n:
+        raise ValueError(f"vertex {name}={v} is not in the graph's 0 .. n-1, n={g.n}")
 
 
 def _ragged(starts: np.ndarray, lengths: np.ndarray):
@@ -249,6 +255,8 @@ def pair_distance(g: HalfEdgeGraph, a: int, b: int) -> int | None:
     as its own, which it is not. So w sits at depth d_O from O, and every
     meeting vertex of the level gives the same total d_S + d_O.
     """
+    _check_vertex(g, a, "a")
+    _check_vertex(g, b, "b")
     if a == b:
         return 0
     offsets, nbr = g.adjacency()

@@ -25,15 +25,22 @@ def degree_in_ball(ball, v: int) -> int:
 
 
 def distances_from(g, v: int) -> np.ndarray:
-    """Single-source breadth-first distances in g (-1 for unreachable)."""
-    offsets, nbr = g.adjacency()
+    """Single-source breadth-first distances in g (-1 for unreachable).
+
+    The neighbour lists come straight from g.owner and g.mate, one entry per
+    half-edge in label order, so the reference does not rest on
+    g.adjacency(), the view the searches it checks read.
+    """
+    owner = g.owner.tolist()
+    nbrs = [[] for _ in range(g.n)]
+    for x, y in enumerate(g.mate.tolist()):
+        nbrs[owner[x]].append(owner[y])
     dist = np.full(g.n, -1, dtype=np.int64)
     dist[v] = 0
     queue = deque([v])
     while queue:
         u = queue.popleft()
-        for i in range(offsets[u], offsets[u + 1]):
-            w = nbr[i]
+        for w in nbrs[u]:
             if dist[w] < 0:
                 dist[w] = dist[u] + 1
                 queue.append(w)

@@ -1,8 +1,9 @@
 """Hypothesis strategies shared across the test modules."""
 
+import numpy as np
 from hypothesis import strategies as st
 
-from cmgiant import DegreeSequence, Pmf
+from cmgiant import DegreeSequence, HalfEdgeGraph, Pmf
 
 
 @st.composite
@@ -50,3 +51,16 @@ def degree_lists(draw, max_n=40, max_degree=7):
 @st.composite
 def degree_sequences(draw, **kwargs):
     return DegreeSequence(draw(degree_lists(**kwargs)))
+
+
+@st.composite
+def loopy_graphs(draw):
+    """Small multigraphs on a uniform pairing of their half-edges: vertices of
+    degree 0, and at these sizes often self-loops and multi-edges."""
+    degrees = draw(st.lists(st.integers(0, 5), min_size=1, max_size=10))
+    if sum(degrees) % 2:
+        degrees[-1] += 1
+    labels = np.array(draw(st.permutations(range(sum(degrees)))), dtype=np.int64)
+    mate = np.empty(labels.size, dtype=np.int64)
+    mate[labels[0::2]], mate[labels[1::2]] = labels[1::2], labels[0::2]
+    return HalfEdgeGraph(np.concatenate(([0], np.cumsum(degrees))), mate)

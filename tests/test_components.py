@@ -25,7 +25,7 @@ from cmgiant import (
 )
 from cmgiant import traversal
 from oracles import boundary_counts_bfs, distances_from, edge_iter, min_label_decomposition, walk_keys
-from strategies import degree_lists
+from strategies import degree_lists, loopy_graphs
 
 
 def graph_from(degrees, mate):
@@ -325,19 +325,6 @@ def test_boundary_pair_fraction_two_cycles():
     assert boundary_pair_fraction(g, cs, 2) == pytest.approx(
         2 * 100 * 100 / (200 * 200)
     )
-
-
-@st.composite
-def loopy_graphs(draw):
-    """Small multigraphs on a uniform pairing of their half-edges: vertices of
-    degree 0, and at these sizes often self-loops and multi-edges."""
-    degrees = draw(st.lists(st.integers(0, 5), min_size=1, max_size=10))
-    if sum(degrees) % 2:
-        degrees[-1] += 1
-    labels = np.array(draw(st.permutations(range(sum(degrees)))), dtype=np.int64)
-    mate = np.empty(labels.size, dtype=np.int64)
-    mate[labels[0::2]], mate[labels[1::2]] = labels[1::2], labels[0::2]
-    return HalfEdgeGraph(np.concatenate(([0], np.cumsum(degrees))), mate)
 
 
 def paired_graph(degrees, seed):

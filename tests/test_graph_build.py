@@ -1,23 +1,26 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from scipy import stats
 
 from cmgiant import (
     DegreeSequence,
     HalfEdgeGraph,
+    Pmf,
     apply_shared_matching,
     component_decomposition,
     coupled_pairing,
     disjoint_union,
     pair_half_edges,
+    sample_iid_degrees,
     truncate_explode,
 )
 from oracles import edge_iter, truncate_explode_loop
-from strategies import degree_lists
+from strategies import degree_lists, loopy_graphs
 
 
 def build(degrees, seed=0):
@@ -231,3 +234,39 @@ def test_disjoint_union_keeps_sides_apart():
     labels = component_decomposition(u).labels
     assert set(labels[:2]) & set(labels[2:]) == set()
     u.validate()
+
+
+# vertex 0 has degree 0, vertex 1 a self-loop and a double edge to vertex 2
+@given(loopy_graphs())
+@example(HalfEdgeGraph(np.array([0, 0, 4, 6]), np.array([1, 0, 4, 5, 2, 3])))
+def test_adjacency_views_match_the_array_oracle(g):
+    # the views read the graph's own arrays: vertex v's neighbours are the
+    # owners of its half-edges' mates, in label order, as Python ints
+    offsets, nbr = g.adjacency()
+    assert list(offsets) == g.offsets.tolist()
+    assert len(nbr) == g.num_half_edges
+    for v in range(g.n):
+        row = list(nbr[offsets[v] : offsets[v + 1]])
+        assert row == g.owner[g.mate[g.offsets[v] : g.offsets[v + 1]]].tolist()
+        assert all(type(w) is int for w in row)
+        assert type(offsets[v]) is int
+    assert g.adjacency() is g.adjacency()
+
+
+def test_adjacency_keeps_one_int64_per_half_edge():
+    # the views share offsets and hold one int64 per half-edge; Python lists
+    # of ints kept about 48 bytes a half-edge
+    rng = np.random.default_rng(7)
+    seq = sample_iid_degrees(Pmf.from_dict({1: 0.4, 4: 0.3, 10: 0.3}), 20000, rng)
+    g = pair_half_edges(seq, rng)
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        views = g.adjacency()
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert views is g.adjacency()
+    assert kept - before <= 16 * g.num_half_edges
+    assert peak - before <= 16 * g.num_half_edges

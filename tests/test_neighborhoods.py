@@ -199,6 +199,25 @@ def test_negative_radius_is_rejected(name):
         NEGATIVE_RADIUS_CALLS[name](g, cs, spec)
 
 
+VERTEX_CALLS = {
+    "pair_distance_a": lambda g, v: traversal.pair_distance(g, v, 0),
+    "pair_distance_b": lambda g, v: traversal.pair_distance(g, 0, v),
+    "pair_distance_a_equals_b": lambda g, v: traversal.pair_distance(g, v, v),
+    "extract_ball": lambda g, v: extract_ball(g, v, 1),
+    "canonical_ball": lambda g, v: canonical_ball(g, v, 1),
+}
+
+
+@pytest.mark.parametrize("v", [-1, 2, 5])
+@pytest.mark.parametrize("name", VERTEX_CALLS)
+def test_vertex_outside_the_graph_is_rejected(name, v):
+    # a single edge 0 - 1: an id outside 0 .. n-1 is refused, rather than
+    # read as a disconnected vertex or as a one-vertex ball
+    g = graph_from([1, 1], [1, 0])
+    with pytest.raises(ValueError, match=rf"={v}\b.*\bn=2\b"):
+        VERTEX_CALLS[name](g, v)
+
+
 CAP_CALLS = {
     "extract_ball": lambda g, cs, spec, cap: extract_ball(g, 0, 1, cap),
     "canonical_ball": lambda g, cs, spec, cap: canonical_ball(g, 0, 1, cap),
