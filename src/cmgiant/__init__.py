@@ -6,7 +6,7 @@ describes them in the large-n limit, and measure giant-component sizes,
 typical distances, and coupling quality along the way.
 """
 
-__version__ = "0.5.0"
+__version__ = "0.6.0"
 
 from .components import (
     ComponentSummary,

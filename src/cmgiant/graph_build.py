@@ -101,15 +101,12 @@ class ExplosionMap:
     Degrees above the cutoff b keep only their b lowest-labeled half-edges;
     each displaced half-edge becomes a brand-new degree-1 vertex that keeps
     the original label. `half_edge_relabeling[x]` is the label of original
-    half-edge x in the canonical labeling of the exploded sequence, and
-    `origin[j]` is the original vertex that exploded vertex original_n + j
-    came from.
+    half-edge x in the canonical labeling of the exploded sequence.
     """
 
     original_degrees: DegreeSequence
     truncated_degrees: DegreeSequence
     cutoff: int
-    origin: np.ndarray
     half_edge_relabeling: np.ndarray
 
     @property
@@ -188,9 +185,8 @@ def truncate_explode(seq: DegreeSequence, b: int) -> ExplosionMap:
     # labels displaced from the vertices before each vertex
     before = np.cumsum(excess) - excess
     big = np.flatnonzero(excess)
-    counts = excess[big]
     # the j-th displaced label, from vertex v, is j + offsets[v] + b - before[v]
-    displaced = np.repeat((np.cumsum(degrees) - degrees)[big] + b - before[big], counts)
+    displaced = np.repeat((np.cumsum(degrees) - degrees)[big] + b - before[big], excess[big])
     displaced += np.arange(n_plus)
     relab = np.arange(ell, dtype=np.int64)
     relab -= np.repeat(before, degrees)
@@ -199,7 +195,6 @@ def truncate_explode(seq: DegreeSequence, b: int) -> ExplosionMap:
         original_degrees=seq,
         truncated_degrees=truncated,
         cutoff=b,
-        origin=np.repeat(big, counts),
         half_edge_relabeling=relab,
     )
     emap.validate()

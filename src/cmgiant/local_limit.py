@@ -76,11 +76,14 @@ def _generating_function(pmf: Pmf, x: float) -> float:
 def build_offspring_spec(root: Pmf) -> OffspringSpec:
     """Derive the forward offspring law and its fixed-point constants.
 
-    The extinction probability is found by monotone fixed-point iteration of
-    the shifted law's generating function starting from 0, stopping when
-    successive iterates differ by less than 1e-12 (or after 1e6 rounds near
-    criticality, where the residual is still far below any tolerance used
-    downstream).
+    When nu <= 1 the forward process dies out almost surely (its law is
+    never a point mass at 1, since the all-degree-2 law is rejected), so
+    xi = 1 and zeta = 0 exactly, with no iteration. Otherwise the extinction
+    probability is found by monotone fixed-point iteration of the shifted
+    law's generating function starting from 0, stopping when successive
+    iterates differ by less than 1e-12 or after 1e6 rounds. Near
+    criticality a small step does not mean convergence: the iterates creep
+    toward xi, and the result can be far from it.
 
     Raises:
         ValueError: if the root law puts mass at 0.
@@ -101,14 +104,13 @@ def build_offspring_spec(root: Pmf) -> OffspringSpec:
     nu = shifted.mean()
     sigma2 = shifted.variance()
 
-    x = 0.0
-    for _ in range(XI_MAX_ITER):
-        x_next = _generating_function(shifted, x)
-        if abs(x_next - x) < XI_TOL:
-            x = x_next
-            break
-        x = x_next
-    xi = float(x)
+    xi = 1.0
+    if nu > 1.0:
+        xi = 0.0
+        for _ in range(XI_MAX_ITER):
+            xi, previous = _generating_function(shifted, xi), xi
+            if abs(xi - previous) < XI_TOL:
+                break
     zeta = float(
         sum(p * (1.0 - xi**k) for k, p in zip(root.support, root.probabilities))
     )

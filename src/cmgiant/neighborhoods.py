@@ -22,11 +22,12 @@ residual color classes give the core a canonical order, and the code is "G"
 plus the core serialized in that order with every vertex's stubs and folded
 color.
 
-A ball gets the oversize code, OVERSIZE_BALL, when extraction hits the ball
-vertex cap, or when refinement leaves a class of more than CLASS_CAP
-interchangeable core vertices (individualization is factorial in its
-size). Classes of pendant vertices never count toward CLASS_CAP, so trees,
-including stars of any width, always get an exact code.
+A ball gets the oversize code, OVERSIZE_BALL, when it has more vertices
+than the ball vertex cap (extraction stops at the first vertex past it),
+or when refinement leaves a class of more than CLASS_CAP interchangeable
+core vertices (individualization is factorial in its size). Classes of
+pendant vertices never count toward CLASS_CAP, so trees, including stars
+of any width, always get an exact code.
 
 The two censuses rank whole levels of trees at once with AHU's level step,
 on arrays, and build the AHU string once per class a tree reaches, from the
@@ -97,14 +98,12 @@ class RootedBall:
     Vertices are 0 .. num_vertices-1 with 0 the root. Edges are an ordered
     multiset of pairs (i, j) with i <= j; a self-loop (i, i) counts 2 toward
     i's incident half-edges. stubs[i] counts half-edges of i that leave the
-    ball.
+    ball. The radius is not stored: a census compares balls of one radius.
     """
 
     num_vertices: int
     edges: tuple[tuple[int, int], ...]
     stubs: tuple[int, ...]
-    radius: int
-    boundary_size: int
 
 
 def _ball_structure(ball: RootedBall):
@@ -243,32 +242,28 @@ def _check_ball(r: int, cap: int) -> None:
 
 def extract_ball(
     g: HalfEdgeGraph, v: int, r: int, cap: int = DEFAULT_BALL_CAP
-) -> tuple[RootedBall, bool]:
-    """The radius-r ball of v in g; the flag reports a cap overflow."""
+) -> RootedBall | None:
+    """The radius-r ball of v in g, or None once breadth-first search finds
+    a vertex past the cap: no ball of more than cap vertices is built.
+
+    Vertices are numbered in discovery order over each vertex's half-edges.
+    """
     _check_ball(r, cap)
     _check_vertex(g, v)
     offsets, nbr = g.adjacency()
-    dist = {v: 0}
+    local = {v: 0}
     order = [v]
-    queue = deque([v])
-    overflow = False
-    while queue:
-        u = queue.popleft()
-        if dist[u] == r:
-            break
-        for i in range(offsets[u], offsets[u + 1]):
-            w = nbr[i]
-            if w not in dist:
-                if len(order) == cap:
-                    overflow = True
-                    queue.clear()
-                    break
-                dist[w] = dist[u] + 1
-                order.append(w)
-                queue.append(w)
-        if overflow:
-            break
-    local = {u: i for i, u in enumerate(order)}
+    start = 0
+    for _ in range(r):
+        level, start = order[start:], len(order)
+        for u in level:
+            for i in range(offsets[u], offsets[u + 1]):
+                w = nbr[i]
+                if w not in local:
+                    if len(order) == cap:
+                        return None
+                    local[w] = len(order)
+                    order.append(w)
     edges = []
     stubs = [0] * len(order)
     # Each edge is counted from its endpoint of lower local index; a
@@ -284,30 +279,14 @@ def extract_ball(
             elif lw == lu:
                 loops += 1
         edges.extend([(lu, lu)] * (loops // 2))
-    boundary = sum(1 for u in order if dist[u] == r)
-    ball = RootedBall(
-        num_vertices=len(order),
-        edges=tuple(sorted(edges)),
-        stubs=tuple(stubs),
-        radius=r,
-        boundary_size=boundary,
-    )
-    return ball, overflow
+    return RootedBall(num_vertices=len(order), edges=tuple(sorted(edges)), stubs=tuple(stubs))
 
 
-def canonical_ball(
-    g: HalfEdgeGraph, v: int, r: int, cap: int = DEFAULT_BALL_CAP
-) -> tuple[RootedBall, bytes]:
-    """Extract and encode the radius-r ball of v: the ball and its
-    canonical_code bytes.
-
-    Balls that would exceed cap vertices come back truncated with the
-    distinguished oversize code, OVERSIZE_BALL.
-    """
-    ball, overflow = extract_ball(g, v, r, cap)
-    if overflow:
-        return ball, OVERSIZE_BALL
-    return ball, canonical_code(ball)
+def canonical_ball(g: HalfEdgeGraph, v: int, r: int, cap: int = DEFAULT_BALL_CAP) -> bytes:
+    """The canonical_code of v's radius-r ball, or OVERSIZE_BALL when the
+    ball has more than cap vertices."""
+    ball = extract_ball(g, v, r, cap)
+    return OVERSIZE_BALL if ball is None else canonical_code(ball)
 
 
 BallDistribution = dict[bytes, float]
@@ -496,7 +475,7 @@ def _ball_classes(g: HalfEdgeGraph, r: int, cap: int) -> tuple[np.ndarray, list[
     rest = np.ones(n, dtype=bool)
     rest[tree] = False
     for v in np.flatnonzero(rest).tolist():
-        code = canonical_ball(g, v, r, cap)[1]
+        code = canonical_ball(g, v, r, cap)
         if code not in index:
             index[code] = len(codes)
             codes.append(code)

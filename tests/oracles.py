@@ -94,25 +94,24 @@ def min_label_decomposition(g):
 
 
 def truncate_explode_loop(degrees: list[int], b: int):
-    """(truncated degrees, origin, half-edge relabeling) of truncating the
-    degrees at b, one label at a time: the first b labels of a vertex keep
-    their offsets in its truncated range, and every later label becomes the
+    """(truncated degrees, half-edge relabeling) of truncating the degrees
+    at b, one label at a time: the first b labels of a vertex keep their
+    offsets in its truncated range, and every later label becomes the
     single label of the next new vertex, numbered from n on, scanning the
     vertices and their labels in increasing order."""
     kept = [min(d, b) for d in degrees]
     new_label = sum(kept)
     start = 0
-    origin, relabeling = [], []
-    for v, d in enumerate(degrees):
+    relabeling = []
+    for d, k in zip(degrees, kept):
         for i in range(d):
             if i < b:
                 relabeling.append(start + i)
             else:
                 relabeling.append(new_label)
                 new_label += 1
-                origin.append(v)
-        start += kept[v]
-    return kept + [1] * len(origin), origin, relabeling
+        start += k
+    return kept + [1] * (sum(degrees) - sum(kept)), relabeling
 
 
 def boundary_counts_bfs(g, r: int) -> np.ndarray:
@@ -229,7 +228,7 @@ def ball_census(g, r: int, cap: int, labels=None):
     roots labelled 0 and the rest."""
     parts: tuple[dict, dict] = ({}, {})
     for v in range(g.n):
-        _, code = canonical_ball(g, v, r, cap)
+        code = canonical_ball(g, v, r, cap)
         part = parts[labels is not None and int(labels[v]) != 0]
         part[code] = part.get(code, 0) + 1
     masses = tuple({code: c / g.n for code, c in part.items()} for part in parts)

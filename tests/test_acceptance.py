@@ -65,7 +65,7 @@ V1 = 0.5 * (1.0 - XI)
 V3 = 0.5 * (1.0 - XI**3)
 EDGE = 1.0 - XI**2
 
-DEG1_ROOT_CODE = canonical_code(RootedBall(1, (), (1,), 0, 1))
+DEG1_ROOT_CODE = canonical_code(RootedBall(1, (), (1,)))
 
 
 def report(num, ok, detail):

@@ -204,6 +204,17 @@ def test_giant_run_outputs(tmp_path):
     assert manifest["offspring_spec"]["nu"] == pytest.approx(1.5)
 
 
+def test_giant_run_below_criticality_has_zero_theory(tmp_path):
+    # nu = 1 - 5e-7: the limiting giant is empty, so theory_zeta reads 0.0
+    out = tmp_path / "out"
+    masses = {"1": 1e-6, "2": 0.999999}
+    cfg = config_from_dict(cfg_dict(pmf=masses, n=[300], seeds=[0], out_dir=str(out)))
+    assert run_experiment(cfg) == 0
+    header, row = (out / "summary.csv").read_text().splitlines()
+    cells = dict(zip(header.split(","), row.split(",")))
+    assert float(cells["theory_zeta"]) == 0.0
+
+
 def test_reruns_are_byte_identical(tmp_path):
     out_a = str(tmp_path / "a")
     out_b = str(tmp_path / "b")
@@ -215,7 +226,7 @@ def test_reruns_are_byte_identical(tmp_path):
 
 
 # Every experiment at two sizes and two seeds. The digests below pin the bytes
-# these runs write with library 0.5.0: a change that alters any of them changes
+# these runs write with library 0.6.0: a change that alters any of them changes
 # the outputs and must say so.
 PINNED_CONFIGS = {
     "giant": {},
@@ -231,32 +242,32 @@ PINNED_CONFIGS = {
 
 OUTPUT_SHA256 = {
     "giant": {
-        "manifest.json": "b692c0c1aeb6ea928f9791731541f6c935c842517a677934c0f70ec7cd40c2ad",
+        "manifest.json": "17c2a922d4330aea527c57a09f349eba5ad88c1bea9e528c6fccb50927e42cd3",
         "results.jsonl": "3326c1e8634be55befae8e3931171c096eae36fe163121820bacd55997833c25",
         "summary.csv": "984cc8fedf29adc5c93af2f743a2f5e58ab287d6c90415befa2a2f0efded3692",
     },
     "structure": {
-        "manifest.json": "cf05f619a20028e12c3df173af43681a488bde98e41041383bef89cb813d53e0",
+        "manifest.json": "8c603c0d6f9e02cf6390155eb32c815a58ee7bcfff817bc9c417ea0e8f284bed",
         "results.jsonl": "50b1295429ca0c1c43ec1f4c44f894022d1334afb09829dc1536f4bec0f8779c",
         "summary.csv": "f93d87a717fef963a2f00c87ee6e29e5805217504ac6c0dd04018e5417328d8a",
     },
     "almost_local": {
-        "manifest.json": "aa708d34a39331bc1864b9c633ed73c2f1f31b93c2c87765ccad2b6211d54120",
+        "manifest.json": "d2451ed8e5decc63d55c2278eb4e7ce84a59313b1637c0a32e90e24c544f074a",
         "results.jsonl": "3f9517f97399de8b6378c98eeb1815948c618ea9a28d68b06920dbd468f615ac",
         "summary.csv": "8d1834bc5a0cbea6f5c52735894b1a35aa2dcca71174c7f931974d9607739fed",
     },
     "necessity_demo": {
-        "manifest.json": "fccedeead5a928dc700d4dba6e67e72f96da85903597da49660f3a5af659ac6a",
+        "manifest.json": "dd76cd89d1b4a4d5dd24f020b461d8e07c5eab6140a826b53d8dde20821377f9",
         "results.jsonl": "9b5e2bb66c903aca34dcfc85dda99bd3f16d974d28b5ef647e17eb79882aab75",
         "summary.csv": "19ae558736ea922612007c42df491bbf9a07dfedffd460cacb716049d74cf043",
     },
     "local_conv": {
-        "manifest.json": "377586b3ef856a00e6380229e4be04d5ddbea029431fe48e51371a4daec52b43",
+        "manifest.json": "44d624deb3c6ae733d390e8bcd3f79d7fa837c2ab5dafa078a23ac68d40df3a8",
         "results.jsonl": "1559be48792bb5b939a08c9962c3becbdd8b527d9fc4a3c4d87c2ba28a2cb638",
         "summary.csv": "32c575cc2c4aba339ba071dc0eb12e063d830c75e136dd454e8e690285cd0723",
     },
     "coupling": {
-        "manifest.json": "0f3d34e5a08e9cecf76a8098d3a78977dba8d23a95bd565d439aa4c328bdd28f",
+        "manifest.json": "caca33ee6599960f78c29e92526324ae8278208cc74875d3f04247272bbb2d47",
         "results.jsonl": "b427854fb7932b9c232a2dd79af2bf9350d813a135f1a61156bdd2f83055647d",
         "summary.csv": "98c7686580501062ffe7ec28916bfd2dd7b37296f4fa6f9e86baf3c0759a82a5",
     },
@@ -265,17 +276,17 @@ OUTPUT_SHA256 = {
         "distances_hist_n300_seed1.csv": "f046c978a2a0f4db402236275832dcfdd7274efcde7596fc2ca3832303bb5660",
         "distances_hist_n500_seed0.csv": "e27c757a3d55f3120b07075568582527cb51c1134429958e574c5f8477b99436",
         "distances_hist_n500_seed1.csv": "c81609af2461f7e33edfb2dac4eb8e440d7ae670a66f1ed0b0435c69f22440ca",
-        "manifest.json": "afb718440aef1e54e10b07146c9c0e7ccb83af8fb17474cc23241ecb4e117b65",
+        "manifest.json": "ad3f01817eaa2239320c271d3073f3887b194a89b81a93594928a42b50986416",
         "results.jsonl": "96768f247b539b20c2f31c4991f7fae515b4443b6564f9daf083e92fb13e3101",
         "summary.csv": "6405fd2e92c28bd7901e480268931e0806addd44ab7f68cd63bd12e0149b5821",
     },
     "p2_demo": {
-        "manifest.json": "1e493e4bf806877db5872dd1d5de9b08cc46f95e99b16b70aca49880ea7922a4",
+        "manifest.json": "df936b3192764c68b49e7ab05565d441f0f95134554201a4ba9cc9341345b343",
         "results.jsonl": "8ec648946419466aae5a45abeaee70959d8e959ee8c1461901daad588887f4b5",
         "summary.csv": "4a406e519cd46a4df0e6d253d72bbe8cc298aac1e92e17e77afc9e5d94998e8a",
     },
     "truncation": {
-        "manifest.json": "28332741bf96cf0acd7ee93392578c59d293fda57d867b65d47c40ec9221fcdd",
+        "manifest.json": "e5939c8b8173e189a177a3f06aaf787f9f6e6a8339a23ac1a67ba63a73953ab2",
         "results.jsonl": "479e6c7aa47ed002a32025b51b77749d35ebce5b7c1238f808a54ddfdb2da379",
         "summary.csv": "4adf94748f52948837eaff69eb87138aaba0a0f92a601624287e4cdd37606985",
     },

@@ -125,7 +125,6 @@ def test_truncate_explode_basic():
     emap = truncate_explode(DegreeSequence(np.array([5, 1])), 3)
     assert emap.truncated_degrees.degrees.tolist() == [3, 1, 1, 1]
     assert emap.exploded_n == 4
-    assert emap.origin.tolist() == [0, 0]
     assert emap.cutoff == 3
     # labels 0,1,2 stay with vertex 0; labels 3,4 move to the new vertices
     assert emap.half_edge_relabeling.tolist() == [0, 1, 2, 4, 5, 3]
@@ -137,22 +136,19 @@ def test_truncate_explode_identity_when_below_cutoff():
     assert emap.exploded_n == 2
     assert emap.truncated_degrees.degrees.tolist() == [2, 2]
     assert emap.half_edge_relabeling.tolist() == [0, 1, 2, 3]
-    assert emap.origin.size == 0
 
 
 def test_truncate_explode_shatters_single_vertex():
     emap = truncate_explode(DegreeSequence(np.array([4])), 1)
     assert emap.truncated_degrees.degrees.tolist() == [1, 1, 1, 1]
-    assert emap.origin.tolist() == [0, 0, 0]
+    assert emap.half_edge_relabeling.tolist() == [0, 1, 2, 3]
 
 
 @given(degree_lists(), st.integers(1, 6))
 def test_truncate_explode_matches_the_per_label_oracle(degrees, b):
     emap = truncate_explode(DegreeSequence(np.array(degrees)), b)
-    truncated, origin, relabeling = truncate_explode_loop(degrees, b)
+    truncated, relabeling = truncate_explode_loop(degrees, b)
     assert emap.truncated_degrees.degrees.tolist() == truncated
-    assert emap.origin.dtype == np.int64
-    assert emap.origin.tolist() == origin
     assert emap.half_edge_relabeling.dtype == np.int64
     assert emap.half_edge_relabeling.tolist() == relabeling
 

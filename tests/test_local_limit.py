@@ -56,6 +56,28 @@ def test_subcritical_mixture():
     assert limits.edge_limit == pytest.approx(0.0, abs=1e-9)
 
 
+@pytest.mark.parametrize(
+    "masses",
+    [
+        {1: 1e-6, 2: 0.999999},
+        {1: 1e-13, 2: 1 - 1e-13},
+        {1: 0.75, 3: 0.25},
+        {1: 0.8, 2: 0.1, 4: 0.1},
+        {1: 0.5, 2: 0.5},
+    ],
+)
+def test_extinction_is_certain_at_and_below_criticality(masses):
+    # nu <= 1 and a forward law that is not a point mass at 1: the process
+    # dies out almost surely, so the limits are exact zeros
+    spec = spec_of(masses)
+    assert spec.nu <= 1.0
+    assert spec.xi == 1.0
+    assert spec.zeta == 0.0
+    limits = theoretical_giant(spec)
+    assert limits.zeta == limits.edge_limit == 0.0
+    assert set(limits.vk_limit.values()) == {0.0}
+
+
 def test_three_regular_spec():
     spec = spec_of({3: 1.0})
     assert spec.shifted_pmf.as_dict() == {2: 1.0}

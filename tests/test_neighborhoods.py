@@ -48,8 +48,8 @@ def cycle_graph(n):
     return graph_from([2] * n, mate)
 
 
-def ball(n, edges, stubs, radius=0, boundary=1):
-    return RootedBall(n, tuple(edges), tuple(stubs), radius, boundary)
+def ball(n, edges, stubs):
+    return RootedBall(n, tuple(edges), tuple(stubs))
 
 
 # ---------------------------------------------------------------------------
@@ -540,22 +540,19 @@ def test_rank_rows_like_np_unique(key):
 
 def test_extract_ball_radius_zero():
     g = cycle_graph(5)
-    b, overflow = extract_ball(g, 2, 0)
-    assert not overflow
+    b = extract_ball(g, 2, 0)
     assert b.num_vertices == 1
     assert b.edges == ()
     assert b.stubs == (2,)
-    assert b.boundary_size == 1
 
 
 def test_extract_ball_self_loop():
     g = graph_from([2], [1, 0])
-    b, _ = extract_ball(g, 0, 1)
+    b = extract_ball(g, 0, 1)
     assert b.num_vertices == 1
     assert b.edges == ((0, 0),)
     assert b.stubs == (0,)
-    assert b.boundary_size == 0
-    b0, _ = extract_ball(g, 0, 0)
+    b0 = extract_ball(g, 0, 0)
     # the loop stays inside even a radius-0 ball, leaving no stubs
     assert b0.edges == ((0, 0),)
     assert b0.stubs == (0,)
@@ -563,19 +560,46 @@ def test_extract_ball_self_loop():
 
 def test_extract_ball_on_cycle_radius_one():
     g = cycle_graph(4)
-    b, _ = extract_ball(g, 1, 1)
+    b = extract_ball(g, 1, 1)
     assert b.num_vertices == 3
     assert sorted(b.edges) == [(0, 1), (0, 2)]
     assert b.stubs == (0, 1, 1)
-    assert b.boundary_size == 2
 
 
 def test_extract_ball_cap_overflow():
     g = cycle_graph(10)
-    _, overflow = extract_ball(g, 0, 4, cap=3)
-    assert overflow
-    _, code = canonical_ball(g, 0, 4, cap=3)
-    assert code == OVERSIZE_BALL
+    assert extract_ball(g, 0, 4, cap=3) is None
+    assert canonical_ball(g, 0, 4, cap=3) == OVERSIZE_BALL
+    # the ball of exactly cap vertices is still built
+    assert extract_ball(g, 0, 1, cap=3).num_vertices == 3
+
+
+@pytest.mark.parametrize("r", [1, 2])
+def test_extract_ball_stops_at_a_hub_past_the_cap(r):
+    # a star of 12 leaves, each leaf with one more leaf: the hub's ball has 13
+    # vertices at r = 1 and 25 at r = 2, more than a cap of 6 at both
+    leaves = 12
+    degrees = [leaves] + [2] * leaves + [1] * leaves
+    mate = np.empty(4 * leaves, dtype=np.int64)
+    for j in range(leaves):
+        spoke, arm, tip = j, leaves + 2 * j, 3 * leaves + j
+        mate[[spoke, arm, arm + 1, tip]] = [arm, spoke, tip, arm + 1]
+    g = graph_from(degrees, mate)
+    assert extract_ball(g, 0, r, cap=6) is None
+    assert canonical_ball(g, 0, r, cap=6) == OVERSIZE_BALL
+    assert ball_from_edge_list(g, 0, r, 6) is None
+    # a spoke's ball holds the hub within the cap at r = 1, and passes the
+    # cap through the hub's other spokes at r = 2
+    spoke = extract_ball(g, 1, r, cap=6)
+    assert spoke == ball_from_edge_list(g, 1, r, 6)
+    if r == 1:
+        assert spoke.stubs == (0, 11, 0)
+    else:
+        assert spoke is None
+    assert empirical_ball_distribution(g, r, 6) == ball_census(g, r, 6)
+    full = extract_ball(g, 0, r, cap=1 + leaves * r)
+    assert full.num_vertices == 1 + leaves * r
+    assert canonical_ball(g, 0, r, cap=1 + leaves * r) == canonical_code(full)
 
 
 @given(degree_lists(max_n=20), st.integers(0, 3), st.integers(0, 2**32 - 1))
@@ -583,8 +607,7 @@ def test_extract_ball_fuzz_degrees_add_up(degrees, r, seed):
     seq = DegreeSequence(np.array(degrees))
     g = pair_half_edges(seq, np.random.default_rng(seed))
     v = int(np.random.default_rng(seed + 1).integers(0, g.n))
-    b, overflow = extract_ball(g, v, r)
-    assert not overflow
+    b = extract_ball(g, v, r)
     # inside-degree plus stubs reproduces the true degree of every member
     dist_sorted = []
     for u in range(b.num_vertices):
@@ -593,12 +616,10 @@ def test_extract_ball_fuzz_degrees_add_up(degrees, r, seed):
     # the root is vertex 0 of the ball
     assert dist_sorted[0] == int(seq.degrees[v])
     assert all(t >= 1 for t in dist_sorted)
-    assert b.radius == r
-    assert b.boundary_size <= b.num_vertices
 
 
 def ball_from_edge_list(g, v, r, cap):
-    """The radius-r ball of v rebuilt from edge_iter(g), with the overflow flag.
+    """The radius-r ball of v rebuilt from edge_iter(g), or None past the cap.
 
     Vertices are numbered in breadth-first discovery order over each
     vertex's half-edges, as extract_ball numbers them.
@@ -611,8 +632,8 @@ def ball_from_edge_list(g, v, r, cap):
                 if w not in dist:
                     dist[w] = dist[u] + 1
                     order.append(w)
-    overflow = len(order) > cap
-    order = order[:cap]
+    if len(order) > cap:
+        return None
     local = {u: i for i, u in enumerate(order)}
     edges = []
     inside = [0] * len(order)
@@ -623,14 +644,11 @@ def ball_from_edge_list(g, v, r, cap):
             inside[la] += 1
             inside[lb] += 1
     degrees = g.degrees()
-    ball = RootedBall(
+    return RootedBall(
         num_vertices=len(order),
         edges=tuple(sorted(edges)),
         stubs=tuple(int(degrees[u]) - inside[i] for i, u in enumerate(order)),
-        radius=r,
-        boundary_size=sum(dist[u] == r for u in order),
     )
-    return ball, overflow
 
 
 @given(
@@ -649,8 +667,7 @@ def test_extract_ball_matches_edge_list_rebuild(degrees, r, cap, seed):
 def test_extract_ball_keeps_loops_and_multi_edges():
     # vertex 0: a self-loop and a double edge to 1; vertex 1: one more edge to 2
     g = graph_from([4, 3, 1], [1, 0, 4, 5, 2, 3, 7, 6])
-    ball, overflow = extract_ball(g, 0, 2)
-    assert not overflow
+    ball = extract_ball(g, 0, 2)
     assert ball.edges == ((0, 0), (0, 1), (0, 1), (1, 2))
     assert ball.stubs == (0, 0, 0)
     assert extract_ball(g, 0, 2) == ball_from_edge_list(g, 0, 2, 10)
