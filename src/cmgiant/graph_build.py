@@ -37,6 +37,10 @@ class HalfEdgeGraph:
         # (r0, cyclic roots, their cycle radii) from a tree test of every
         # root, cached by traversal._tree_roots for every radius up to r0
         self._cycles: tuple | None = None
+        # traversal._Stamps: the visit marks of traversal's breadth-first
+        # searches, one byte and one int32 a vertex, built at the first
+        # search; searches of one graph must not run concurrently
+        self._stamps = None
 
     @classmethod
     def from_degrees(cls, seq: DegreeSequence, mate: np.ndarray) -> "HalfEdgeGraph":

@@ -14,10 +14,14 @@ _tree_roots reads cycles off them for the graph-side ball census
 (neighborhoods); when they cover every root, the graph caches each
 cyclic root's cycle radius for the censuses at smaller radii.
 
-pair_distance is a bidirectional breadth-first search over the adjacency
-memoryviews cached on the graph, which read its int64 arrays as Python ints,
-with a set of visited vertices per side; it stops at the first vertex where
-the two sides meet.
+pair_distance is a bidirectional breadth-first search that stops at the
+first level where the two sides meet. Each side stamps the vertices it
+reaches with its own tag in one byte a vertex cached on the graph
+(_Stamps), so a search allocates nothing per vertex it visits. A level of
+few frontier vertices grows in a Python loop over the adjacency memoryviews
+cached on the graph, which read its int64 arrays as Python ints; a wider
+one grows with a few array operations (_grow), the level step that
+_sphere_sizes, the per-root search behind boundary_counts, runs too.
 """
 from __future__ import annotations
 
@@ -29,6 +33,8 @@ from .graph_build import HalfEdgeGraph
 # of the largest piece, which is what peak RSS then measures.
 _WALK_BUDGET = 1 << 15  # walks per chunk of roots
 _WALK_CLIP = 1 << 30  # walk counts saturate here
+_TAGS = 254  # search tags per clearing of a graph's stamps
+_NARROW = 40  # frontier vertices from which a search level grows by numpy
 
 
 def _check_radius(r: int) -> None:
@@ -41,11 +47,15 @@ def _check_vertex(g: HalfEdgeGraph, v: int, name: str = "v") -> None:
         raise ValueError(f"vertex {name}={v} is not in the graph's 0 .. n-1, n={g.n}")
 
 
+def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Every entry of the ranges starts[i] .. starts[i] + lengths[i] - 1, in order."""
+    ends = np.cumsum(lengths)
+    return np.arange(ends[-1] if ends.size else 0) + np.repeat(starts - ends + lengths, lengths)
+
+
 def _ragged(starts: np.ndarray, lengths: np.ndarray):
     """Row and value of every entry of the ranges starts[i] .. starts[i] + lengths[i] - 1."""
-    row = np.repeat(np.arange(lengths.size), lengths)
-    offset = starts - (np.cumsum(lengths) - lengths)
-    return row, np.arange(row.size) + np.repeat(offset, lengths)
+    return np.repeat(np.arange(lengths.size), lengths), _ranges(starts, lengths)
 
 
 def _walk_counts(g: HalfEdgeGraph, r: int) -> tuple[np.ndarray, np.ndarray]:
@@ -214,30 +224,72 @@ def boundary_counts(g: HalfEdgeGraph, r: int) -> np.ndarray:
     return out
 
 
-def _sphere_sizes(g: HalfEdgeGraph, roots: np.ndarray, r: int) -> list[int]:
-    """|∂B_r(v)| for each v in roots, by a breadth-first search from v that
-    grows each level with a few array operations.
+class _Stamps:
+    """Visit marks shared by the breadth-first searches of one graph.
+
+    stamp holds, for each vertex, the tag of the last search that reached
+    it, or 0; slot is scratch for deduplicating a level, whose int32
+    positions bound a level to fewer than 2**31 half-edges. Each search takes
+    fresh tags from 1 .. _TAGS in turn, so a vertex carries a search's tag
+    only if that search stamped it. When the tags run out, the stamps are
+    cleared with one fill and the tags start again.
+    """
+
+    def __init__(self, n: int) -> None:
+        self.stamp = np.zeros(n, dtype=np.uint8)
+        self.slot = np.empty(n, dtype=np.int32)
+        self.last = 0
+
+    def take(self, k: int) -> int:
+        """The first of k consecutive tags that no vertex carries."""
+        if self.last + k > _TAGS:
+            self.stamp.fill(0)
+            self.last = 0
+        self.last += k
+        return self.last - k + 1
+
+
+def _stamps(g: HalfEdgeGraph) -> _Stamps:
+    if g._stamps is None:
+        g._stamps = _Stamps(g.n)
+    return g._stamps
+
+
+def _grow(g: HalfEdgeGraph, frontier: np.ndarray, stamps: _Stamps, mine: int, other: int | None = None):
+    """One search level with a few array operations: the neighbours of the
+    frontier that carry no tag mine, each once, now stamped mine; or None
+    when some neighbour carries the tag other.
 
     A level's new vertices are deduplicated without a sort: each writes its
     position into slot, and a vertex keeps the one entry whose write held.
     """
+    offsets = g.offsets
+    starts = offsets[frontier]
+    w = np.frombuffer(g.adjacency()[1], dtype=np.int64)[_ranges(starts, offsets[frontier + 1] - starts)]
+    tag = stamps.stamp[w]
+    if other is not None and (tag == other).any():
+        return None
+    w = w[tag != mine]
+    at = np.arange(w.size, dtype=np.int32)
+    stamps.slot[w] = at
+    w = w[stamps.slot[w] == at]
+    stamps.stamp[w] = mine
+    return w
+
+
+def _sphere_sizes(g: HalfEdgeGraph, roots: np.ndarray, r: int) -> list[int]:
+    """|∂B_r(v)| for each v in roots, by a breadth-first search from v that
+    grows each level with _grow."""
     if not roots.size:
         return []
-    offsets, mate, owner = g.offsets, g.mate, g.owner
-    degree = np.diff(offsets)
-    mark = np.full(g.n, -1, dtype=np.int64)
-    slot = np.empty(g.n, dtype=np.int64)
+    stamps = _stamps(g)
     sizes = []
     for v in roots:
-        mark[v] = v
+        tag = stamps.take(1)
+        stamps.stamp[v] = tag
         frontier = np.array([v])
         for _ in range(r):
-            w = owner[mate[_ragged(offsets[frontier], degree[frontier])[1]]]
-            w = w[mark[w] != v]
-            at = np.arange(w.size)
-            slot[w] = at
-            frontier = w[slot[w] == at]
-            mark[frontier] = v
+            frontier = _grow(g, frontier, stamps, tag)
         sizes.append(frontier.size)
     return sizes
 
@@ -254,26 +306,43 @@ def pair_distance(g: HalfEdgeGraph, a: int, b: int) -> int | None:
     at w's neighbour on S's frontier a level sooner or stamped that neighbour
     as its own, which it is not. So w sits at depth d_O from O, and every
     meeting vertex of the level gives the same total d_S + d_O.
+
+    Each side stamps the vertices it reaches with its own tag (_Stamps). A
+    frontier of fewer than _NARROW vertices grows in a Python loop over the
+    adjacency views that stops at the first meeting vertex; a wider one
+    grows by _grow, which checks the whole level for the other side's tag
+    before stamping any of it. By the argument above both return the same
+    distance.
     """
     _check_vertex(g, a, "a")
     _check_vertex(g, b, "b")
     if a == b:
         return 0
     offsets, nbr = g.adjacency()
+    stamps = _stamps(g)
+    mine = stamps.take(2)
+    other = mine + 1
+    seen = memoryview(stamps.stamp)
+    seen[a], seen[b] = mine, other
     grow, wait = [a], [b]
-    seen_grow, seen_wait = {a}, {b}
     levels = 0
-    while grow and wait:
+    while len(grow) and len(wait):
         if len(grow) > len(wait):
-            grow, wait, seen_grow, seen_wait = wait, grow, seen_wait, seen_grow
+            grow, wait, mine, other = wait, grow, other, mine
         levels += 1
+        if len(grow) >= _NARROW:
+            grow = _grow(g, np.asarray(grow), stamps, mine, other)
+            if grow is None:
+                return levels
+            continue
         nxt = []
-        for u in grow:
+        for u in grow if type(grow) is list else grow.tolist():
             for w in nbr[offsets[u] : offsets[u + 1]]:
-                if w not in seen_grow:
-                    if w in seen_wait:
+                t = seen[w]
+                if t != mine:
+                    if t == other:
                         return levels
-                    seen_grow.add(w)
+                    seen[w] = mine
                     nxt.append(w)
         grow = nxt
     return None

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,9 +14,10 @@ from cmgiant import (
     sample_iid_degrees,
 )
 from cmgiant.distances import DistanceSample
+from cmgiant import traversal
 from cmgiant.traversal import pair_distance
 from oracles import distances_from
-from strategies import degree_lists
+from strategies import degree_lists, graph_from_edges, hub_multigraphs
 from test_components import cycle_graph, graph_from
 
 
@@ -85,6 +87,68 @@ def test_pair_distance_matches_bfs_on_sampled_pairs():
         connected += expected is not None
         assert pair_distance(g, u, v) == pair_distance(g, v, u) == expected
     assert 0 < connected < 300
+
+@given(hub_multigraphs(), st.data())
+def test_pair_distance_on_hub_multigraphs(g, data):
+    # frontiers through the hub and the star run from one vertex to dozens
+    # and back, so levels grow both in Python and by numpy
+    for a in data.draw(st.lists(st.integers(0, g.n - 1), min_size=1, max_size=3, unique=True)):
+        truth = distances_from(g, a)
+        for b in range(g.n):
+            expected = None if truth[b] < 0 else int(truth[b])
+            assert pair_distance(g, a, b) == pair_distance(g, b, a) == expected
+
+
+def test_searches_reuse_stamps_past_the_last_tag():
+    # a hub with 60 spokes, a double edge and two self-loops, and a path of
+    # three off every fifth spoke; apart from it a 50-leaf star, whose leaves
+    # fill a level wide enough for numpy, and a path of three vertices
+    edges = [(0, s) for s in range(1, 61)] + [(0, 1), (0, 0), (0, 0)]
+    n = 61
+    for s in range(1, 61, 5):
+        edges += [(s, n), (n, n + 1), (n + 1, n + 2)]
+        n += 3
+    star = n
+    edges += [(star, star + k) for k in range(1, 51)]
+    n += 51
+    edges += [(n, n + 1), (n + 1, n + 2)]
+    g = graph_from_edges(n + 3, edges)
+    truth = [distances_from(g, v) for v in range(g.n)]
+    rng = np.random.default_rng(12)
+    searches = apart = 0
+    for a, b in rng.integers(0, g.n, size=(210, 2)).tolist():
+        for u, v in ((a, b), (b, a)):
+            expected = None if truth[u][v] < 0 else int(truth[u][v])
+            assert pair_distance(g, u, v) == expected
+            searches += u != v
+            apart += expected is None
+    # each search takes two of the 254 tags, so they ran out three times
+    assert searches > 3 * 127 and apart > 100
+    assert g._stamps.last == 2 * ((searches - 1) % 127 + 1)
+    # boundary_counts' per-root searches take one tag each from the same stamps
+    for r in (1, 2, 3):
+        sizes = traversal._sphere_sizes(g, np.arange(g.n), r)
+        assert sizes == [int(np.count_nonzero(d == r)) for d in truth]
+
+
+def test_pair_distance_keeps_five_bytes_a_vertex():
+    # the stamps take one byte a vertex and the level slots four; the
+    # searches keep nothing else
+    rng = np.random.default_rng(7)
+    seq = sample_iid_degrees(Pmf.from_dict({1: 0.4, 4: 0.3, 10: 0.3}), 20000, rng)
+    g = pair_half_edges(seq, rng)
+    g.adjacency()
+    pairs = rng.integers(0, g.n, size=(20, 2)).tolist()
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        for a, b in pairs:
+            pair_distance(g, a, b)
+        kept, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert 5 * g.n <= kept - before <= 5 * g.n + 4096
+
 
 def test_sample_distances_perfect_matching():
     seq = DegreeSequence(np.ones(100, dtype=np.int64))
