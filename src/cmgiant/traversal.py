@@ -255,17 +255,22 @@ def _stamps(g: HalfEdgeGraph) -> _Stamps:
     return g._stamps
 
 
-def _grow(g: HalfEdgeGraph, frontier: np.ndarray, stamps: _Stamps, mine: int, other: int | None = None):
+def _grow(g: HalfEdgeGraph, frontier: np.ndarray, stamps: _Stamps, mine: int, other: int | None = None, far=None):
     """One search level with a few array operations: the neighbours of the
     frontier that carry no tag mine, each once, now stamped mine; or None
     when some neighbour carries the tag other.
+
+    far[x] is the far vertex of half-edge x. Without it the level reads
+    them through g.mate and g.owner, so that boundary_counts' searches do
+    not build the graph's cached adjacency, 8 bytes a half-edge.
 
     A level's new vertices are deduplicated without a sort: each writes its
     position into slot, and a vertex keeps the one entry whose write held.
     """
     offsets = g.offsets
     starts = offsets[frontier]
-    w = np.frombuffer(g.adjacency()[1], dtype=np.int64)[_ranges(starts, offsets[frontier + 1] - starts)]
+    half_edges = _ranges(starts, offsets[frontier + 1] - starts)
+    w = g.owner[g.mate[half_edges]] if far is None else far[half_edges]
     tag = stamps.stamp[w]
     if other is not None and (tag == other).any():
         return None
@@ -319,6 +324,7 @@ def pair_distance(g: HalfEdgeGraph, a: int, b: int) -> int | None:
     if a == b:
         return 0
     offsets, nbr = g.adjacency()
+    far = np.frombuffer(nbr, dtype=np.int64)
     stamps = _stamps(g)
     mine = stamps.take(2)
     other = mine + 1
@@ -331,7 +337,7 @@ def pair_distance(g: HalfEdgeGraph, a: int, b: int) -> int | None:
             grow, wait, mine, other = wait, grow, other, mine
         levels += 1
         if len(grow) >= _NARROW:
-            grow = _grow(g, np.asarray(grow), stamps, mine, other)
+            grow = _grow(g, np.asarray(grow), stamps, mine, other, far)
             if grow is None:
                 return levels
             continue

@@ -407,6 +407,15 @@ def test_boundary_counts_search_roots_whose_first_walks_collide(g):
     assert np.array_equal(counts, np.minimum(boundary_counts_bfs(g, 2), 2))
 
 
+def test_boundary_counts_searches_build_no_adjacency_views():
+    # the per-root searches read far ends through mate and owner, so a graph
+    # that only runs censuses keeps no neighbour array, 8 bytes a half-edge
+    g = HalfEdgeGraph(TRIANGLE.offsets, TRIANGLE.mate)
+    with mock.patch.object(traversal, "_sphere_sizes", wraps=traversal._sphere_sizes) as search:
+        traversal.boundary_counts(g, 2)
+    assert search.called and g._adjacency is None
+
+
 def test_boundary_pair_fraction_matches_exact_counts_on_the_dense_law():
     # on {1,4,10} at n=2e3 short cycles send many roots to the per-root
     # search; the pair fraction is the one the exact counts give
