@@ -250,12 +250,15 @@ class _Stamps:
 
 
 def _stamps(g: HalfEdgeGraph) -> _Stamps:
+    """The graph's stamps, built at its first search."""
     if g._stamps is None:
         g._stamps = _Stamps(g.n)
     return g._stamps
 
 
-def _grow(g: HalfEdgeGraph, frontier: np.ndarray, stamps: _Stamps, mine: int, other: int | None = None, far=None):
+def _grow(
+    g: HalfEdgeGraph, frontier: np.ndarray, stamps: _Stamps, mine: int, other: int | None = None, far=None
+):
     """One search level with a few array operations: the neighbours of the
     frontier that carry no tag mine, each once, now stamped mine; or None
     when some neighbour carries the tag other.

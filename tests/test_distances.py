@@ -13,8 +13,8 @@ from cmgiant import (
     sample_distances,
     sample_iid_degrees,
 )
-from cmgiant.distances import DistanceSample
 from cmgiant import traversal
+from cmgiant.distances import DistanceSample
 from cmgiant.traversal import pair_distance
 from oracles import distances_from
 from strategies import degree_lists, graph_from_edges, hub_multigraphs
@@ -87,6 +87,7 @@ def test_pair_distance_matches_bfs_on_sampled_pairs():
         connected += expected is not None
         assert pair_distance(g, u, v) == pair_distance(g, v, u) == expected
     assert 0 < connected < 300
+
 
 @given(hub_multigraphs(), st.data())
 def test_pair_distance_on_hub_multigraphs(g, data):
