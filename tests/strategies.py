@@ -93,16 +93,16 @@ def hub_multigraphs(draw):
     edges to each of its spokes, chords between spokes, pendant paths off
     them, and a star of up to 80 leaves joined to a spoke by a path or left
     apart; beside them a cycle (a self-loop or a double edge when short) and
-    an isolated vertex. Vertex ids are shuffled.
+    an isolated vertex. A drawn seed sets the parallel edges and shuffles
+    the vertex ids.
 
     Searches here cross levels of many vertices and of few, so
     pair_distance grows levels both ways, switches between them, and meets
     or exhausts a cluster in either kind of level.
     """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     spokes = draw(st.integers(10, 95))
-    edges = []
-    for s in range(1, spokes + 1):
-        edges += [(0, s)] * draw(st.integers(1, 3))
+    edges = [(0, s) for s in range(1, spokes + 1) for _ in range(rng.integers(1, 4))]
     loops = max(draw(st.integers(0, 4)), (31 - len(edges)) // 2)
     edges += [(0, 0)] * loops
     n = spokes + 1
@@ -122,5 +122,5 @@ def hub_multigraphs(draw):
     cycle = draw(st.integers(1, 6))
     edges += [(n + k, n + (k + 1) % cycle) for k in range(cycle)]
     n += cycle + 1
-    perm = draw(st.permutations(range(n)))
+    perm = rng.permutation(n).tolist()
     return graph_from_edges(n, [(perm[u], perm[w]) for u, w in edges])

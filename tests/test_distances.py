@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -89,15 +90,18 @@ def test_pair_distance_matches_bfs_on_sampled_pairs():
     assert 0 < connected < 300
 
 
-@given(hub_multigraphs(), st.data())
-def test_pair_distance_on_hub_multigraphs(g, data):
+@given(hub_multigraphs(), st.integers(1, 8), st.data())
+def test_pair_distance_on_hub_multigraphs(g, narrow, data):
     # frontiers through the hub and the star run from one vertex to dozens
-    # and back, so levels grow both in Python and by numpy
-    for a in data.draw(st.lists(st.integers(0, g.n - 1), min_size=1, max_size=3, unique=True)):
-        truth = distances_from(g, a)
-        for b in range(g.n):
-            expected = None if truth[b] < 0 else int(truth[b])
-            assert pair_distance(g, a, b) == pair_distance(g, b, a) == expected
+    # and back; at the default threshold some searches grow levels both in
+    # Python and by numpy, and at a threshold of 1-8 vertices nearly all do
+    a = data.draw(st.integers(0, g.n - 1))
+    truth = distances_from(g, a)
+    for threshold in (traversal._NARROW, narrow):
+        with mock.patch.object(traversal, "_NARROW", threshold):
+            for b in range(g.n):
+                expected = None if truth[b] < 0 else int(truth[b])
+                assert pair_distance(g, a, b) == pair_distance(g, b, a) == expected
 
 
 def test_searches_reuse_stamps_past_the_last_tag():
